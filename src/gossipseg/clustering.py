@@ -94,7 +94,8 @@ def one_shot_cluster(
     Seeding and assignment happen in a single pass.  When
     ``assignment_sigma`` is positive, clipped Gaussian noise is added to the
     plaintext vectors used for seeding and assignment; centroid aggregation
-    always uses the true distributions, encrypted component-wise.
+    always uses the true distributions, one packed encryption per peer per
+    chunk of slots.
     Empty clusters are repaired by moving in the peer farthest from its
     assigned centroid, taken from a cluster that keeps at least one member.
     """
@@ -120,12 +121,19 @@ def one_shot_cluster(
         labels[candidate] = empty
         counts[empty] += 1
 
+    # every registered peer may share a cluster, so slots are sized for all of
+    # them; the registry on the ledger gives each peer that count
+    contributors = len(peer_ids)
     centroids: list[np.ndarray] = []
     for k in range(num_clusters):
         members = [peer_ids[i] for i in np.flatnonzero(labels == k)]
         encrypted = [
             paillier.encrypt_vector(
-                distributions[p].probs, crypto.keypair.public, crypto.scale, crypto.rng
+                distributions[p].probs,
+                crypto.keypair.public,
+                crypto.scale,
+                crypto.rng,
+                contributors=contributors,
             )
             for p in members
         ]

@@ -339,12 +339,6 @@ class Ledger:
     def registered_peers(self) -> list[int]:
         return sorted(self._registry, key=lambda p: self._registry[p].sequence)
 
-    def is_registered(self, peer_id: int) -> bool:
-        return peer_id in self._registry
-
-    def record_of(self, peer_id: int) -> PeerRecord:
-        return self._require_registered(peer_id)
-
     # -- chain ---------------------------------------------------------------
 
     def elect_leader(self, tick: int) -> int:

@@ -69,6 +69,10 @@ class RunReport:
     ticks: int
     segment_violations: int
     integrity_alarms: int
+    segment_carryovers: int
+    aborted_iterations: int
+    quarantined_updates: int
+    consumed_updates: int
     artifacts: dict[str, str] = field(default_factory=dict)
     artifact_digests: dict[str, str] = field(default_factory=dict)
 
@@ -84,6 +88,10 @@ class RunReport:
             "ticks": self.ticks,
             "segment_violations": self.segment_violations,
             "integrity_alarms": self.integrity_alarms,
+            "segment_carryovers": self.segment_carryovers,
+            "aborted_iterations": self.aborted_iterations,
+            "quarantined_updates": self.quarantined_updates,
+            "consumed_updates": self.consumed_updates,
             "artifacts": self.artifacts,
             "artifact_digests": self.artifact_digests,
         }
@@ -364,6 +372,10 @@ def run_phase2(
         ticks=cfg.duration_ticks,
         segment_violations=ctx.segment_violations,
         integrity_alarms=ctx.integrity_alarms,
+        segment_carryovers=ctx.segment_carryovers,
+        aborted_iterations=ctx.aborted_iterations,
+        quarantined_updates=len(ctx.quarantined),
+        consumed_updates=len(ctx.consumed_log),
         artifacts={
             "metrics": str(metrics_path),
             "ledger": str(ledger_path),

@@ -1,10 +1,17 @@
-"""Additively homomorphic Paillier cryptosystem with fixed-point vectors.
+"""Additively homomorphic Paillier cryptosystem with packed fixed-point vectors.
 
 Standard construction with ``g = n + 1``: encryption of ``m`` with blinding
-``r`` is ``(1 + m*n) * r^n mod n^2``; decryption applies ``L(c^lambda mod
-n^2) * mu mod n`` where ``L(x) = (x - 1) // n``.  Plaintexts here are
-non-negative fixed-point encodings of values in ``[0, 1]``, so homomorphic
-sums stay far below the modulus for desk-scale peer counts.
+``r`` is ``(1 + m*n) * r^n mod n^2``.  The textbook decryption is ``L(c^lambda
+mod n^2) * mu mod n`` where ``L(x) = (x - 1) // n``; the key holder computes
+the same plaintext by the Chinese remainder theorem over ``p`` and ``q``
+(Paillier, EUROCRYPT 1999, section 7), which works modulo ``p^2`` and ``q^2``
+with half-size exponents.
+
+Vectors are non-negative fixed-point encodings of values in ``[0, 1]``,
+packed several components to a plaintext as in BatchCrypt (Zhang et al.,
+USENIX ATC 2020): each component gets a slot wide enough for the sum over
+every contributor, so homomorphic addition of packed plaintexts adds the
+slots independently and never carries from one slot into the next.
 """
 from __future__ import annotations
 
@@ -41,10 +48,17 @@ class PaillierPublicKey:
 
 @dataclass(frozen=True)
 class PaillierPrivateKey:
-    """Carmichael-style exponent ``lam = phi(n)`` and ``mu = phi(n)^-1 mod n``."""
+    """Textbook ``lam = phi(n)`` and ``mu = phi(n)^-1 mod n``, plus the primes
+    and the constants of CRT decryption: ``hp = L_p(g^(p-1) mod p^2)^-1 mod p``
+    (likewise ``hq``) and ``q_inv = q^-1 mod p``."""
 
     lam: int
     mu: int
+    p: int
+    q: int
+    hp: int
+    hq: int
+    q_inv: int
 
 
 @dataclass(frozen=True)
@@ -59,6 +73,19 @@ class Ciphertext:
 
     value: int
     modulus: int
+
+
+@dataclass(frozen=True)
+class PackedVector:
+    """One contributor's encrypted fixed-point vector.
+
+    Component ``j`` sits in chunk ``j // slots`` at bit offset
+    ``(j % slots) * width``, where ``slots = (n.bit_length() - 1) // width``.
+    """
+
+    chunks: tuple[Ciphertext, ...]
+    length: int
+    width: int
 
 
 def _is_probable_prime(candidate: int, rng: random.Random) -> bool:
@@ -116,11 +143,24 @@ def keygen(bits: int = 1024, seed: int | None = None) -> PaillierKeyPair:
         if n.bit_length() == bits:
             break
     phi = (p - 1) * (q - 1)
-    mu = pow(phi, -1, n)
+    g = n + 1
     return PaillierKeyPair(
-        public=PaillierPublicKey(n=n, g=n + 1),
-        private=PaillierPrivateKey(lam=phi, mu=mu),
+        public=PaillierPublicKey(n=n, g=g),
+        private=PaillierPrivateKey(
+            lam=phi,
+            mu=pow(phi, -1, n),
+            p=p,
+            q=q,
+            hp=pow(_crt_half(g, p, 1), -1, p),
+            hq=pow(_crt_half(g, q, 1), -1, q),
+            q_inv=pow(q, -1, p),
+        ),
     )
+
+
+def _crt_half(c: int, prime: int, h: int) -> int:
+    """``L_prime(c^(prime-1) mod prime^2) * h mod prime``."""
+    return (pow(c, prime - 1, prime * prime) - 1) // prime * h % prime
 
 
 def encrypt(
@@ -151,12 +191,13 @@ def encrypt(
 
 
 def decrypt(c: Ciphertext, kp: PaillierKeyPair) -> int:
-    """Recover the plaintext of ``c``; the key must match."""
+    """Recover the plaintext of ``c`` by CRT over ``p`` and ``q``; the key must match."""
     if c.modulus != kp.public.n:
         raise KeyMismatchError("ciphertext was produced under a different key")
-    n = kp.public.n
-    x = pow(c.value, kp.private.lam, kp.public.n_squared)
-    return (x - 1) // n * kp.private.mu % n
+    sk = kp.private
+    mp = _crt_half(c.value, sk.p, sk.hp)
+    mq = _crt_half(c.value, sk.q, sk.hq)
+    return mq + (mp - mq) * sk.q_inv % sk.p * sk.q
 
 
 def add(c1: Ciphertext, c2: Ciphertext, pk: PaillierPublicKey) -> Ciphertext:
@@ -181,29 +222,68 @@ def decode_fixed(v: int, scale: int) -> float:
     return v / scale
 
 
+def _slot_count(width: int, n: int) -> int:
+    """Slots of ``width`` bits that fit a plaintext below ``n``."""
+    slots = (n.bit_length() - 1) // width
+    if slots < 1:
+        raise ConfigurationError(
+            f"a {width}-bit slot does not fit a {n.bit_length()}-bit modulus"
+        )
+    return slots
+
+
 def encrypt_vector(
     xs: Sequence[float],
     pk: PaillierPublicKey,
     scale: int,
     rng: random.Random | None = None,
-) -> list[Ciphertext]:
-    """Fixed-point encode then encrypt each component."""
-    return [encrypt(encode_fixed(float(x), scale), pk, rng) for x in xs]
+    *,
+    contributors: int,
+) -> PackedVector:
+    """Fixed-point encode ``xs``, pack the components into slots, encrypt each chunk.
+
+    Args:
+        xs: Components in ``[0, 1]``.
+        pk: Public key; encryption needs nothing else.
+        scale: Fixed-point scale.
+        rng: Source of blinding randomness; OS entropy when omitted.
+        contributors: Most vectors that will ever be summed with this one;
+            slots are ``(contributors * scale).bit_length()`` bits wide so
+            that the sum of that many components cannot overflow a slot.
+
+    Returns:
+        A :class:`PackedVector` with one ciphertext per chunk of slots.
+    """
+    if contributors < 1:
+        raise ConfigurationError("contributors must be >= 1")
+    width = (contributors * scale).bit_length()
+    slots = _slot_count(width, pk.n)
+    values = [encode_fixed(float(x), scale) for x in xs]
+    chunks = tuple(
+        encrypt(
+            sum(v << (i * width) for i, v in enumerate(values[start : start + slots])),
+            pk,
+            rng,
+        )
+        for start in range(0, len(values), slots)
+    )
+    return PackedVector(chunks=chunks, length=len(values), width=width)
 
 
 def secure_mean(
-    encrypted_vectors: Sequence[Sequence[Ciphertext]],
+    encrypted_vectors: Sequence[PackedVector],
     count: int,
     kp: PaillierKeyPair,
     scale: int,
 ) -> np.ndarray:
-    """Component-wise mean of encrypted fixed-point vectors.
+    """Component-wise mean of packed encrypted fixed-point vectors.
 
-    Ciphertexts are folded homomorphically, decrypted once per component,
-    then decoded and divided by ``count``.
+    Ciphertexts are folded homomorphically chunk by chunk, each chunk sum is
+    decrypted once, and its slots are unpacked, decoded and divided by
+    ``count``.
 
     Args:
-        encrypted_vectors: One encrypted vector per contributor.
+        encrypted_vectors: One packed vector per contributor.
         count: Number of contributors; the divisor.
         kp: Key pair of the single decrypting party.
         scale: Fixed-point scale used at encryption time.
@@ -217,15 +297,28 @@ def secure_mean(
         raise InvalidInputError(
             f"count {count} does not match {len(encrypted_vectors)} vectors"
         )
-    if count * scale >= kp.public.n:
-        raise ConfigurationError("modulus too small for contributor count * scale")
-    width = len(encrypted_vectors[0])
-    if any(len(vec) != width for vec in encrypted_vectors):
-        raise InvalidInputError("encrypted vectors have differing lengths")
-    out = np.empty(width, dtype=np.float64)
-    for j in range(width):
-        acc = encrypted_vectors[0][j]
+    first = encrypted_vectors[0]
+    if any(
+        (vec.length, vec.width, len(vec.chunks))
+        != (first.length, first.width, len(first.chunks))
+        for vec in encrypted_vectors
+    ):
+        raise InvalidInputError("encrypted vectors have differing lengths or slot widths")
+    width = first.width
+    slots = _slot_count(width, kp.public.n)
+    if len(first.chunks) != -(-first.length // slots):
+        raise InvalidInputError("chunk count does not match length and slot width")
+    if count * scale >= 1 << width:
+        raise ConfigurationError(
+            f"{count} contributors at scale {scale} overflow {width}-bit slots"
+        )
+    mask = (1 << width) - 1
+    out = np.empty(first.length, dtype=np.float64)
+    for k, acc in enumerate(first.chunks):
         for vec in encrypted_vectors[1:]:
-            acc = add(acc, vec[j], kp.public)
-        out[j] = decode_fixed(decrypt(acc, kp), scale) / count
+            acc = add(acc, vec.chunks[k], kp.public)
+        total = decrypt(acc, kp)
+        for j in range(k * slots, min((k + 1) * slots, first.length)):
+            out[j] = decode_fixed(total & mask, scale) / count
+            total >>= width
     return out

@@ -57,16 +57,6 @@ def global_tag(round_index: int) -> str:
 
 
 @dataclass(frozen=True)
-class GossipMessage:
-    """One available update as seen by a consumer."""
-
-    sender: int
-    cid: Cid
-    round_tag: str
-    claimed_loss: float
-
-
-@dataclass(frozen=True)
 class UpdatePayload:
     """Decoded wire update."""
 

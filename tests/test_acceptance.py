@@ -96,7 +96,7 @@ def test_criterion_02_paillier_suite():
     scale = 10**6
     np_rng = np.random.default_rng(2024)
     vectors = np_rng.random((6, 5))
-    encrypted = [encrypt_vector(v, kp.public, scale, rng) for v in vectors]
+    encrypted = [encrypt_vector(v, kp.public, scale, rng, contributors=6) for v in vectors]
     got = secure_mean(encrypted, 6, kp, scale)
     mean_err = float(np.max(np.abs(got - vectors.mean(axis=0))))
     elapsed = time.perf_counter() - start

@@ -123,6 +123,15 @@ def test_full_run_report_and_artifacts(tmp_path):
     assert report.final_global_cid == ctx.global_cid.hex
 
     saved = json.loads((out / "run_report.json").read_text())
+    counters = {
+        "segment_carryovers": ctx.segment_carryovers,
+        "aborted_iterations": ctx.aborted_iterations,
+        "quarantined_updates": len(ctx.quarantined),
+        "consumed_updates": len(ctx.consumed_log),
+    }
+    for key, value in counters.items():
+        assert getattr(report, key) == value, key
+        assert saved[key] == value, key
     for key, digest in saved["artifact_digests"].items():
         path = out / {"metrics": "metrics.csv", "ledger": "ledger.txt",
                       "model": "global_model.bin"}[key]

@@ -1,19 +1,25 @@
-"""Additive homomorphism, fixed-point coding, and the encrypted mean.
+"""Additive homomorphism, fixed-point coding, CRT decryption, and the packed mean.
 
 All tests share one 512-bit key pair; key generation is the slow part.
 """
 
+import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gossipseg.errors import (
+    ConfigurationError,
     EmptyAggregationError,
     InvalidInputError,
     KeyMismatchError,
 )
 from gossipseg.paillier import (
+    Ciphertext,
     add,
     decode_fixed,
     decrypt,
@@ -98,7 +104,10 @@ def test_secure_mean_matches_plaintext_loop(small_keypair):
     rng = random.Random(9)
     np_rng = np.random.default_rng(9)
     vectors = np_rng.random((5, 4))
-    encrypted = [encrypt_vector(v, kp.public, scale, rng) for v in vectors]
+    encrypted = [
+        encrypt_vector(v, kp.public, scale, rng, contributors=len(vectors))
+        for v in vectors
+    ]
     got = secure_mean(encrypted, len(vectors), kp, scale)
 
     # reference: plain python accumulation, no numpy mean
@@ -114,8 +123,83 @@ def test_secure_mean_matches_plaintext_loop(small_keypair):
 def test_secure_mean_guards(small_keypair):
     kp = small_keypair
     scale = 10**6
-    enc = [encrypt_vector([0.5], kp.public, scale, random.Random(3))]
+    enc = [encrypt_vector([0.5], kp.public, scale, random.Random(3), contributors=1)]
     with pytest.raises(EmptyAggregationError):
         secure_mean([], 0, kp, scale)
     with pytest.raises(InvalidInputError):
         secure_mean(enc, 2, kp, scale)
+
+
+def textbook_decrypt(c, kp):
+    """``L(c^lambda mod n^2) * mu mod n`` without CRT."""
+    n = kp.public.n
+    return (pow(c.value, kp.private.lam, n * n) - 1) // n * kp.private.mu % n
+
+
+@pytest.mark.parametrize("bits,seed", [(512, 1234), (257, 5), (300, 6)])
+def test_crt_decrypt_matches_textbook_on_random_ciphertexts(small_keypair, bits, seed):
+    kp = small_keypair if bits == 512 else keygen(bits=bits, seed=seed)
+    n = kp.public.n
+    assert kp.private.p * kp.private.q == n
+    rng = random.Random(seed)
+    checked = 0
+    while checked < 40:
+        # any unit mod n^2 is a ciphertext of some plaintext
+        value = rng.randrange(1, n * n)
+        if math.gcd(value, n) != 1:
+            continue
+        c = Ciphertext(value=value, modulus=n)
+        assert decrypt(c, kp) == textbook_decrypt(c, kp)
+        checked += 1
+
+
+@given(
+    data=st.data(),
+    length=st.sampled_from([1, 4, 32, 60]),
+    count=st.integers(min_value=1, max_value=5),
+    spare=st.sampled_from([0, 1, 7, 1000]),
+    scale=st.sampled_from([10**3, 10**6]),
+)
+def test_packed_secure_mean_equals_integer_reference(
+    small_keypair, data, length, count, spare, scale
+):
+    kp = small_keypair
+    contributors = count + spare
+    seed = data.draw(st.integers(min_value=0, max_value=2**32 - 1))
+    np_rng = np.random.default_rng(seed)
+    vectors = np_rng.random((count, length))
+    # exact endpoints exercise the widest slot value
+    vectors[0, 0] = data.draw(st.sampled_from([0.0, 1.0, float(vectors[0, 0])]))
+    encrypted = [
+        encrypt_vector(v, kp.public, scale, random.Random(seed + i), contributors=contributors)
+        for i, v in enumerate(vectors)
+    ]
+    width = (contributors * scale).bit_length()
+    slots = (kp.public.n.bit_length() - 1) // width
+    assert all(vec.width == width for vec in encrypted)
+    assert all(len(vec.chunks) == -(-length // slots) for vec in encrypted)
+
+    got = secure_mean(encrypted, count, kp, scale)
+    want = [
+        sum(encode_fixed(float(vectors[i, j]), scale) for i in range(count)) / scale / count
+        for j in range(length)
+    ]
+    assert got.tolist() == want
+
+
+def test_slot_capacity_enforced(small_keypair):
+    kp = small_keypair
+    scale = 10**6
+    rng = random.Random(4)
+    # sized for one contributor: 20-bit slots hold at most 1,048,575 < 2 * scale
+    enc = [encrypt_vector([1.0, 1.0], kp.public, scale, rng, contributors=1) for _ in range(2)]
+    with pytest.raises(ConfigurationError):
+        secure_mean(enc, 2, kp, scale)
+
+    # a slot as wide as n leaves no room for even one slot below n
+    huge = 1 << kp.public.n.bit_length()
+    with pytest.raises(ConfigurationError):
+        encrypt_vector([0.5], kp.public, scale, rng, contributors=huge)
+    too_wide = replace(enc[0], width=kp.public.n.bit_length())
+    with pytest.raises(ConfigurationError):
+        secure_mean([too_wide], 1, kp, scale)

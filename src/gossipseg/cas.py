@@ -4,7 +4,8 @@ Content is split into fixed-size blocks.  A leaf node is the tag byte 0x00
 followed by the block payload; an interior root node is the tag byte 0x01
 followed by a length-prefixed list of (digest, size) links.  A node's CID is
 the SHA-256 of its full encoding, and single-block content is its own root.
-Every read re-hashes each block before returning bytes.
+Every read re-hashes each block and rejects a DAG that ``put`` would not
+have built, so content that ``get`` returns always hashes back to its CID.
 """
 from __future__ import annotations
 
@@ -22,6 +23,7 @@ MAX_CONTENT_BYTES = 64 * 1024**3
 _LEAF = b"\x00"
 _INTERIOR = b"\x01"
 _DIGEST_LEN = 32
+_LINK_LEN = _DIGEST_LEN + 8  # digest, then the leaf's payload size as <Q
 
 
 @dataclass(frozen=True, order=True)
@@ -120,26 +122,36 @@ class BlockStore:
         return node
 
     def get(self, cid: Cid) -> bytes:
-        """Reassemble and verify content; every block is re-hashed."""
+        """Reassemble and verify content; every block is re-hashed.
+
+        Only the canonical DAG of the content is accepted: a leaf root of 1 to
+        ``block_size`` bytes, or an interior root over at least two leaves
+        where every leaf but the last holds exactly ``block_size`` bytes.
+        Success therefore implies ``compute_cid(content) == cid``.
+        """
         node = self._read_block(cid)
         if node[:1] == _LEAF:
+            if not 1 <= len(node) - 1 <= self.block_size:
+                raise IntegrityError(f"leaf root {cid.hex} has a non-canonical size")
             return node[1:]
         if node[:1] != _INTERIOR:
             raise IntegrityError(f"block {cid.hex} has an unknown node tag")
-        (count,) = struct.unpack_from("<I", node, 1)
-        offset = 5
+        count = struct.unpack_from("<I", node, 1)[0] if len(node) >= 5 else 0
+        if count < 2:
+            raise IntegrityError(f"root {cid.hex} has fewer than two links")
+        if len(node) != 5 + count * _LINK_LEN:
+            raise IntegrityError(f"root {cid.hex} does not hold exactly {count} links")
         parts = []
-        for _ in range(count):
+        for i in range(count):
+            offset = 5 + i * _LINK_LEN
             digest = node[offset : offset + _DIGEST_LEN]
-            offset += _DIGEST_LEN
-            (size,) = struct.unpack_from("<Q", node, offset)
-            offset += 8
+            (size,) = struct.unpack_from("<Q", node, offset + _DIGEST_LEN)
+            if not 0 < size <= self.block_size or (i < count - 1 and size != self.block_size):
+                raise IntegrityError(f"leaf under {cid.hex} has a non-canonical size")
             leaf = self._read_block(Cid(digest))
             if leaf[:1] != _LEAF or len(leaf) - 1 != size:
                 raise IntegrityError(f"leaf under {cid.hex} has the wrong shape")
             parts.append(leaf[1:])
-        if offset != len(node):
-            raise IntegrityError(f"root {cid.hex} has trailing bytes")
         return b"".join(parts)
 
     def verify(self, cid: Cid, content: bytes) -> bool:

@@ -10,8 +10,8 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-import threading
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -147,14 +147,19 @@ class PeerRecord:
 
 
 class Ledger:
-    """Single-writer ledger; every mutating call is serialized by one lock."""
+    """Single-writer ledger.
+
+    The hash history is append-only, so ``save_hash`` keeps indexes of it
+    (recorded cids, records per round tag and per (tag, peer)) and ``_record``
+    keeps running gas sums: every read the gossip loop makes costs O(1) or
+    O(matching records), not O(history).
+    """
 
     def __init__(self, gas_table: GasTable | None = None, initial_tokens: int = 1000):
         if initial_tokens < 0:
             raise LedgerError("initial_tokens must be >= 0")
         self.gas_table = gas_table or GasTable()
         self.initial_tokens = initial_tokens
-        self._lock = threading.Lock()
         self._blocks: list[LedgerBlock] = []
         self._pending: list[Transaction] = []
         self._registry: dict[int, PeerRecord] = {}
@@ -163,6 +168,11 @@ class Ledger:
         self._segments: dict[int, SegmentSpec] = {}
         self._hash_records: list[dict] = []
         self._hash_keys: set[tuple[int, str]] = set()
+        self._recorded_cids: set[str] = set()
+        self._records_by_tag: dict[str, list[dict]] = {}
+        self._records_by_tag_peer: dict[tuple[str, int], list[dict]] = {}
+        self._sealed_gas = 0
+        self._pending_gas = 0
         self._deployed = False
 
     # -- internals ---------------------------------------------------------
@@ -176,6 +186,7 @@ class Ledger:
             contract=_CONTRACT_OF[op],
         )
         self._pending.append(tx)
+        self._pending_gas += tx.gas
         return tx
 
     def _require_registered(self, peer_id: int) -> PeerRecord:
@@ -187,88 +198,83 @@ class Ledger:
     # -- contract #1: registration, clustering, segmentation ----------------
 
     def deploy_contracts(self, payload_1: dict | None = None) -> None:
-        with self._lock:
-            if self._deployed:
-                raise LedgerError("contracts already deployed")
-            self._record(OP_DEPLOY_REGISTRY, "genesis", payload_1 or {})
-            self._record(OP_DEPLOY_GOSSIP, "genesis", {})
-            self._deployed = True
+        if self._deployed:
+            raise LedgerError("contracts already deployed")
+        self._record(OP_DEPLOY_REGISTRY, "genesis", payload_1 or {})
+        self._record(OP_DEPLOY_GOSSIP, "genesis", {})
+        self._deployed = True
 
     def register(self, peer_id: int, credential: str) -> PeerRecord:
-        with self._lock:
-            if peer_id in self._registry:
-                raise LedgerError(f"peer {peer_id} already registered")
-            if credential in self._credentials:
-                raise LedgerError("credential already registered")
-            record = PeerRecord(
-                peer_id=peer_id,
-                credential=credential,
-                tokens=self.initial_tokens,
-                sequence=len(self._registry),
-            )
-            self._registry[peer_id] = record
-            self._credentials.add(credential)
-            self._record(
-                OP_REGISTER,
-                str(peer_id),
-                {"credential_digest": hashlib.sha256(credential.encode()).hexdigest()},
-            )
-            return record
+        if peer_id in self._registry:
+            raise LedgerError(f"peer {peer_id} already registered")
+        if credential in self._credentials:
+            raise LedgerError("credential already registered")
+        record = PeerRecord(
+            peer_id=peer_id,
+            credential=credential,
+            tokens=self.initial_tokens,
+            sequence=len(self._registry),
+        )
+        self._registry[peer_id] = record
+        self._credentials.add(credential)
+        self._record(
+            OP_REGISTER,
+            str(peer_id),
+            {"credential_digest": hashlib.sha256(credential.encode()).hexdigest()},
+        )
+        return record
 
     def save_cluster_centers(self, centroids: list[np.ndarray], caller: int) -> None:
-        with self._lock:
-            self._require_registered(caller)
-            if not centroids:
-                raise LedgerError("no centroids to save")
-            self._centroids = [np.asarray(c, dtype=np.float64).copy() for c in centroids]
-            payload = {"centroids": [[float(v) for v in c] for c in self._centroids]}
-            self._record(OP_SAVE_CENTERS, str(caller), payload)
+        self._require_registered(caller)
+        if not centroids:
+            raise LedgerError("no centroids to save")
+        self._centroids = [np.asarray(c, dtype=np.float64).copy() for c in centroids]
+        payload = {"centroids": [[float(v) for v in c] for c in self._centroids]}
+        self._record(OP_SAVE_CENTERS, str(caller), payload)
 
     def cluster_centers(self) -> list[np.ndarray] | None:
         return None if self._centroids is None else [c.copy() for c in self._centroids]
 
     def assign_segment(self, peer_id: int, spec: SegmentSpec) -> None:
-        with self._lock:
-            self._require_registered(peer_id)
-            if self._centroids is None:
-                raise LedgerError("segments cannot be assigned before clustering")
-            self._segments[peer_id] = spec
-            self._record(
-                OP_ASSIGN_SEGMENT,
-                str(peer_id),
-                {"cluster": spec.cluster_id, "start": spec.start, "end": spec.end},
-            )
+        self._require_registered(peer_id)
+        if self._centroids is None:
+            raise LedgerError("segments cannot be assigned before clustering")
+        self._segments[peer_id] = spec
+        self._record(
+            OP_ASSIGN_SEGMENT,
+            str(peer_id),
+            {"cluster": spec.cluster_id, "start": spec.start, "end": spec.end},
+        )
 
     def get_segment(self, peer_id: int) -> SegmentSpec:
-        with self._lock:
-            self._require_registered(peer_id)
-            spec = self._segments.get(peer_id)
-            if spec is None:
-                raise LedgerError(f"peer {peer_id} has no assigned segment")
-            self._record(
-                OP_GET_SEGMENT,
-                str(peer_id),
-                {"cluster": spec.cluster_id, "start": spec.start, "end": spec.end},
-            )
-            return spec
+        self._require_registered(peer_id)
+        spec = self._segments.get(peer_id)
+        if spec is None:
+            raise LedgerError(f"peer {peer_id} has no assigned segment")
+        self._record(
+            OP_GET_SEGMENT,
+            str(peer_id),
+            {"cluster": spec.cluster_id, "start": spec.start, "end": spec.end},
+        )
+        return spec
 
     # -- contract #2: hashes, validation, tokens -----------------------------
 
     def save_hash(self, peer_id: int, cid: Cid, round_tag: str) -> None:
-        with self._lock:
-            self._require_registered(peer_id)
-            key = (peer_id, cid.hex)
-            if key in self._hash_keys:
-                raise LedgerError(
-                    f"peer {peer_id} already recorded cid {cid.hex[:12]}"
-                )
-            self._hash_keys.add(key)
-            self._hash_records.append(
-                {"peer": peer_id, "cid": cid.hex, "tag": round_tag, "seq": len(self._hash_records)}
+        self._require_registered(peer_id)
+        cid_hex = cid.hex
+        key = (peer_id, cid_hex)
+        if key in self._hash_keys:
+            raise LedgerError(
+                f"peer {peer_id} already recorded cid {cid_hex[:12]}"
             )
-            self._record(
-                OP_SAVE_HASH, str(peer_id), {"cid": cid.hex, "tag": round_tag}
-            )
+        self._hash_keys.add(key)
+        self._recorded_cids.add(cid_hex)
+        rec = {"peer": peer_id, "cid": cid_hex, "tag": round_tag, "seq": len(self._hash_records)}
+        self._hash_records.append(rec)
+        self._records_by_tag.setdefault(round_tag, []).append(rec)
+        self._records_by_tag_peer.setdefault((round_tag, peer_id), []).append(rec)
+        self._record(OP_SAVE_HASH, str(peer_id), {"cid": cid_hex, "tag": round_tag})
 
     def has_hash_record(self, peer_id: int, cid: Cid) -> bool:
         return (peer_id, cid.hex) in self._hash_keys
@@ -279,59 +285,60 @@ class Ledger:
         peers: set[int] | None = None,
     ) -> list[dict]:
         """Off-chain read of recorded hashes, in recording order."""
-        out = []
-        for rec in self._hash_records:
-            if round_tag is not None and rec["tag"] != round_tag:
-                continue
-            if peers is not None and rec["peer"] not in peers:
-                continue
-            out.append(dict(rec))
-        return out
+        if round_tag is None:
+            recs = self._hash_records
+            if peers is not None:
+                recs = [rec for rec in recs if rec["peer"] in peers]
+        elif peers is None:
+            recs = self._records_by_tag.get(round_tag, [])
+        else:
+            by_peer = self._records_by_tag_peer
+            recs = sorted(
+                (rec for p in peers for rec in by_peer.get((round_tag, p), ())),
+                key=itemgetter("seq"),
+            )
+        return [dict(rec) for rec in recs]
 
     def validate_update(self, cid: Cid, content_digest: Cid, caller: str = "system") -> bool:
         """Charged check that a fetched update matches some recorded hash."""
-        with self._lock:
-            known = any(rec["cid"] == cid.hex for rec in self._hash_records)
-            ok = known and content_digest == cid
-            self._record(
-                OP_VALIDATE_UPDATE,
-                caller,
-                {"cid": cid.hex, "digest": content_digest.hex, "ok": ok},
-            )
-            return ok
+        cid_hex = cid.hex
+        ok = cid_hex in self._recorded_cids and content_digest == cid
+        self._record(
+            OP_VALIDATE_UPDATE,
+            caller,
+            {"cid": cid_hex, "digest": content_digest.hex, "ok": ok},
+        )
+        return ok
 
     def penalize(self, peer_id: int, amount: int, reason: str = "") -> int:
-        with self._lock:
-            record = self._require_registered(peer_id)
-            if amount < 0:
-                raise LedgerError("penalty amount must be >= 0")
-            record.tokens = max(0, record.tokens - amount)
-            self._record(
-                OP_PENALIZE,
-                str(peer_id),
-                {"amount": amount, "reason": reason, "balance": record.tokens},
-            )
-            return record.tokens
+        record = self._require_registered(peer_id)
+        if amount < 0:
+            raise LedgerError("penalty amount must be >= 0")
+        record.tokens = max(0, record.tokens - amount)
+        self._record(
+            OP_PENALIZE,
+            str(peer_id),
+            {"amount": amount, "reason": reason, "balance": record.tokens},
+        )
+        return record.tokens
 
     def reward(self, peer_id: int, amount: int, reason: str = "") -> int:
-        with self._lock:
-            record = self._require_registered(peer_id)
-            if amount < 0:
-                raise LedgerError("reward amount must be >= 0")
-            record.tokens += amount
-            self._record(
-                OP_REWARD,
-                str(peer_id),
-                {"amount": amount, "reason": reason, "balance": record.tokens},
-            )
-            return record.tokens
+        record = self._require_registered(peer_id)
+        if amount < 0:
+            raise LedgerError("reward amount must be >= 0")
+        record.tokens += amount
+        self._record(
+            OP_REWARD,
+            str(peer_id),
+            {"amount": amount, "reason": reason, "balance": record.tokens},
+        )
+        return record.tokens
 
     def reset_balance(self, peer_id: int) -> int:
-        with self._lock:
-            record = self._require_registered(peer_id)
-            record.tokens = self.initial_tokens
-            self._record(OP_RESET_BALANCE, str(peer_id), {"balance": record.tokens})
-            return record.tokens
+        record = self._require_registered(peer_id)
+        record.tokens = self.initial_tokens
+        self._record(OP_RESET_BALANCE, str(peer_id), {"balance": record.tokens})
+        return record.tokens
 
     def balance(self, peer_id: int) -> int:
         return self._require_registered(peer_id).tokens
@@ -343,36 +350,36 @@ class Ledger:
 
     def elect_leader(self, tick: int) -> int:
         """Uniform choice over registered peers, derived from tip hash and tick."""
-        with self._lock:
-            peers = sorted(self._registry, key=lambda p: self._registry[p].sequence)
-            if not peers:
-                raise LedgerError("cannot elect a leader with no registered peers")
-            tip = self._blocks[-1].block_hash() if self._blocks else GENESIS_HASH
-            digest = hashlib.sha256(tip + struct.pack("<q", tick)).digest()
-            leader = peers[int.from_bytes(digest, "big") % len(peers)]
-            self._record(OP_ELECT_LEADER, "scheduler", {"tick": tick, "leader": leader})
-            return leader
+        peers = sorted(self._registry, key=lambda p: self._registry[p].sequence)
+        if not peers:
+            raise LedgerError("cannot elect a leader with no registered peers")
+        tip = self._blocks[-1].block_hash() if self._blocks else GENESIS_HASH
+        digest = hashlib.sha256(tip + struct.pack("<q", tick)).digest()
+        leader = peers[int.from_bytes(digest, "big") % len(peers)]
+        self._record(OP_ELECT_LEADER, "scheduler", {"tick": tick, "leader": leader})
+        return leader
 
     def pending_count(self) -> int:
         return len(self._pending)
 
     def seal_block(self, tick: int) -> LedgerBlock:
-        with self._lock:
-            if not self._pending:
-                raise LedgerError("no pending transactions to seal")
-            txs = tuple(self._pending)
-            self._pending = []
-            prev = self._blocks[-1].block_hash() if self._blocks else GENESIS_HASH
-            block = LedgerBlock(
-                height=len(self._blocks),
-                prev_hash=prev,
-                merkle_root=merkle_root([t.digest() for t in txs]),
-                transactions=txs,
-                gas_used=sum(t.gas for t in txs),
-                timestamp=tick,
-            )
-            self._blocks.append(block)
-            return block
+        if not self._pending:
+            raise LedgerError("no pending transactions to seal")
+        txs = tuple(self._pending)
+        prev = self._blocks[-1].block_hash() if self._blocks else GENESIS_HASH
+        block = LedgerBlock(
+            height=len(self._blocks),
+            prev_hash=prev,
+            merkle_root=merkle_root([t.digest() for t in txs]),
+            transactions=txs,
+            gas_used=self._pending_gas,
+            timestamp=tick,
+        )
+        self._blocks.append(block)
+        self._pending = []
+        self._sealed_gas += self._pending_gas
+        self._pending_gas = 0
+        return block
 
     @property
     def blocks(self) -> list[LedgerBlock]:
@@ -380,11 +387,11 @@ class Ledger:
 
     def total_gas(self) -> int:
         """Gas across all sealed blocks."""
-        return sum(b.gas_used for b in self._blocks)
+        return self._sealed_gas
 
     def cumulative_gas(self) -> int:
         """Sealed plus pending gas; what a live gas meter would show."""
-        return self.total_gas() + sum(t.gas for t in self._pending)
+        return self._sealed_gas + self._pending_gas
 
     def verify_chain(self) -> bool:
         """Recompute every merkle root and hash link."""

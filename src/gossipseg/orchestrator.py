@@ -73,6 +73,7 @@ class RunReport:
     aborted_iterations: int
     quarantined_updates: int
     consumed_updates: int
+    trim_fallbacks: int
     artifacts: dict[str, str] = field(default_factory=dict)
     artifact_digests: dict[str, str] = field(default_factory=dict)
 
@@ -92,6 +93,7 @@ class RunReport:
             "aborted_iterations": self.aborted_iterations,
             "quarantined_updates": self.quarantined_updates,
             "consumed_updates": self.consumed_updates,
+            "trim_fallbacks": self.trim_fallbacks,
             "artifacts": self.artifacts,
             "artifact_digests": self.artifact_digests,
         }
@@ -376,6 +378,7 @@ def run_phase2(
         aborted_iterations=ctx.aborted_iterations,
         quarantined_updates=len(ctx.quarantined),
         consumed_updates=len(ctx.consumed_log),
+        trim_fallbacks=ctx.trim_fallbacks,
         artifacts={
             "metrics": str(metrics_path),
             "ledger": str(ledger_path),

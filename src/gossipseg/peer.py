@@ -127,7 +127,22 @@ class RunContext:
     integrity_alarms: int = 0
     segment_carryovers: int = 0
     aborted_iterations: int = 0
+    trim_fallbacks: int = 0
     fault_hook: Callable[[int, Cid, int], None] | None = None
+    cluster_mates: dict[int, np.ndarray] = field(init=False)
+
+    def __post_init__(self) -> None:
+        # each peer's cluster mates, ascending; fixed for the whole run
+        self.cluster_mates = {
+            pid: np.array(
+                sorted(
+                    p
+                    for p, other in self.peers.items()
+                    if other.cluster_id == peer.cluster_id and p != pid
+                )
+            )
+            for pid, peer in self.peers.items()
+        }
 
     def flag_bad_update(self, consumer_id: int, sender: int, cid: Cid) -> None:
         """Quarantine a cid; the first detection carries the penalty."""
@@ -138,10 +153,17 @@ class RunContext:
         self.ledger.penalize(sender, self.cfg.penalty_amount, reason="integrity")
 
 
-def _robust_combine(flats: list[np.ndarray], trim_ratio: float) -> np.ndarray:
-    """Trimmed mean when feasible for this count, otherwise plain mean."""
-    if trim_ratio > 0 and is_trim_feasible(len(flats), trim_ratio):
-        return trimmed_mean(flats, trim_ratio)
+def _robust_combine(ctx: RunContext, flats: list[np.ndarray]) -> np.ndarray:
+    """Trimmed mean when feasible for this count, otherwise plain mean.
+
+    A configured trim that is infeasible for this count is counted in
+    ``ctx.trim_fallbacks``.
+    """
+    trim_ratio = ctx.cfg.trim.trim_ratio
+    if trim_ratio > 0:
+        if is_trim_feasible(len(flats), trim_ratio):
+            return trimmed_mean(flats, trim_ratio)
+        ctx.trim_fallbacks += 1
     return plain_mean(flats)
 
 
@@ -243,27 +265,20 @@ class Peer:
             return None
         except NotFoundError:
             return None
-        ok = ctx.ledger.validate_update(
-            cid, ctx.store.compute_cid(content), caller=str(self.peer_id)
-        )
-        if not ok:
+        # a successful get has re-hashed the canonical DAG, so the content's
+        # digest is the cid itself
+        if not ctx.ledger.validate_update(cid, cid, caller=str(self.peer_id)):
             ctx.flag_bad_update(self.peer_id, sender, cid)
             return None
         return content
 
     def _collect(self, ctx: RunContext) -> list[UpdatePayload]:
         cfg = ctx.cfg
-        mates = sorted(
-            p
-            for p, peer in ctx.peers.items()
-            if peer.cluster_id == self.cluster_id and p != self.peer_id
-        )
-        if not mates or cfg.fanout == 0:
+        mates = ctx.cluster_mates[self.peer_id]
+        if len(mates) == 0 or cfg.fanout == 0:
             return []
         k = min(cfg.fanout, len(mates))
-        chosen = set(
-            int(p) for p in self.rng.choice(np.array(mates), size=k, replace=False)
-        )
+        chosen = set(int(p) for p in self.rng.choice(mates, size=k, replace=False))
         latest: dict[int, dict] = {}
         for rec in ctx.ledger.hash_records(
             round_tag=round_tag(ctx.global_round), peers=chosen
@@ -338,7 +353,7 @@ class Peer:
                 # too few updates for a feasible trim: pure local progress
                 combined = vectors[0]
             else:
-                combined = _robust_combine(vectors, cfg.trim.trim_ratio)
+                combined = _robust_combine(ctx, vectors)
             self.params = params_add(self.baseline, unflatten(combined, self.baseline))
             self.iteration += 1
         except LedgerError:
@@ -372,7 +387,6 @@ def leader_duty(leader: Peer, ctx: RunContext, tick: int) -> Cid | None:
     carry the previous global values.  The result is stored in the block
     store and its CID recorded on the ledger.
     """
-    cfg = ctx.cfg
     base = ctx.global_params
     if base is None:
         return None
@@ -407,10 +421,10 @@ def leader_duty(leader: Peer, ctx: RunContext, tick: int) -> Cid | None:
         if not flats:
             ctx.segment_carryovers += 1
             continue
-        combined = unflatten(_robust_combine(flats, cfg.trim.trim_ratio), base)
+        combined = unflatten(_robust_combine(ctx, flats), base)
         per_segment[cluster_id] = mask_to_segment(combined, spec)
     lower_delta = (
-        unflatten(_robust_combine(all_flats, cfg.trim.trim_ratio), base)
+        unflatten(_robust_combine(ctx, all_flats), base)
         if all_flats
         else None
     )

@@ -126,3 +126,52 @@ def test_block_files_named_by_digest_hex(store):
     cid = store.put(b"name check")
     assert store.path_for(cid).name == cid.hex
     assert store.path_for(cid).exists()
+
+
+def _plant(store, node: bytes) -> Cid:
+    """Write a hand-built node under its own digest, bypassing ``put``."""
+    cid = Cid(hashlib.sha256(node).digest())
+    store.path_for(cid).write_bytes(node)
+    return cid
+
+
+def _link(store, payload: bytes) -> bytes:
+    leaf = _plant(store, b"\x00" + payload)
+    return leaf.digest + struct.pack("<Q", len(payload))
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["oversized_leaf_root", "empty_leaf_root", "one_link_root", "short_inner_leaf",
+     "empty_last_leaf", "truncated_root"],
+)
+def test_non_canonical_dag_rejected_on_get(store, case):
+    # every block below hashes to its name, so only the DAG shape is wrong:
+    # put would have built a different root for the same content
+    if case == "oversized_leaf_root":
+        content = bytes(range(17))
+        cid = _plant(store, b"\x00" + content)
+    elif case == "empty_leaf_root":
+        content = b""
+        cid = _plant(store, b"\x00")
+    elif case == "one_link_root":
+        content = b"ten bytes!"
+        cid = _plant(store, b"\x01" + struct.pack("<I", 1) + _link(store, content))
+    elif case == "short_inner_leaf":
+        content = b"abcd" + bytes(range(16))
+        cid = _plant(
+            store,
+            b"\x01" + struct.pack("<I", 2) + _link(store, content[:4]) + _link(store, content[4:]),
+        )
+    elif case == "empty_last_leaf":
+        content = bytes(range(16))
+        cid = _plant(
+            store, b"\x01" + struct.pack("<I", 2) + _link(store, content) + _link(store, b"")
+        )
+    else:
+        content = bytes(range(32))
+        cid = _plant(store, b"\x01" + struct.pack("<I", 2) + _link(store, content[:16]))
+    if content:
+        assert store.compute_cid(content) != cid
+    with pytest.raises(IntegrityError):
+        store.get(cid)

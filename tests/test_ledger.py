@@ -1,10 +1,13 @@
 """Transactions, gas metering, token incentives, and chain integrity."""
 
 import hashlib
+import itertools
 import struct
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given
 
 from gossipseg.cas import Cid
 from gossipseg.errors import LedgerError
@@ -245,3 +248,87 @@ def test_gas_summary_counts(ledger):
     assert summary["save_hash"]["count"] == 2
     total = sum(row["gas"] for row in summary.values())
     assert total == ledger.total_gas()
+
+
+def test_validate_update_ignores_recording_peer_and_tag(ledger):
+    cid = cid_of(b"shared")
+    ledger.save_hash(2, cid, "r3")
+    # any peer may validate it, in any round
+    assert ledger.validate_update(cid, cid, caller="0") is True
+    assert ledger.validate_update(cid, cid, caller="2") is True
+    ledger.save_hash(1, cid, "g4")
+    assert ledger.validate_update(cid, cid, caller="3") is True
+    assert ledger.hash_records(round_tag="r7") == []
+
+
+ORACLE_PEERS = (0, 1, 2)
+ORACLE_TAGS = ("r0", "r1", "g1")
+ORACLE_CIDS = tuple(cid_of(bytes([i])) for i in range(4))
+
+ledger_steps = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("save"),
+            st.sampled_from(ORACLE_PEERS),
+            st.integers(0, len(ORACLE_CIDS) - 1),
+            st.sampled_from(ORACLE_TAGS),
+        ),
+        st.tuples(st.just("validate"), st.integers(0, len(ORACLE_CIDS) - 1)),
+        st.tuples(st.just("seal")),
+    ),
+    max_size=40,
+)
+
+
+@given(steps=ledger_steps)
+def test_hash_indexes_and_gas_sums_match_brute_force(steps):
+    led = Ledger()
+    led.deploy_contracts()
+    for pid in ORACLE_PEERS:
+        led.register(pid, f"cred-{pid}")
+    table = led.gas_table
+    spent = table.deploy_contract_1 + table.deploy_contract_2 + 3 * table.register
+    saved: list[dict] = []  # the oracle: a plain list of what was recorded
+    for tick, step in enumerate(steps):
+        if step[0] == "save":
+            _, peer, index, tag = step
+            cid = ORACLE_CIDS[index]
+            if any(r["peer"] == peer and r["cid"] == cid.hex for r in saved):
+                with pytest.raises(LedgerError):
+                    led.save_hash(peer, cid, tag)
+            else:
+                led.save_hash(peer, cid, tag)
+                saved.append({"peer": peer, "cid": cid.hex, "tag": tag, "seq": len(saved)})
+                spent += table.save_hash
+        elif step[0] == "validate":
+            cid = ORACLE_CIDS[step[1]]
+            known = any(r["cid"] == cid.hex for r in saved)
+            assert led.validate_update(cid, cid) is known
+            spent += table.validate_update
+        elif led.pending_count():
+            led.seal_block(tick)
+        sealed = [tx.gas for block in led.blocks for tx in block.transactions]
+        assert led.total_gas() == sum(block.gas_used for block in led.blocks) == sum(sealed)
+        assert led.cumulative_gas() == spent
+
+    assert led.hash_records() == saved
+    subsets = [set(c) for n in range(4) for c in itertools.combinations(ORACLE_PEERS, n)]
+    for peers in subsets + [None, {7}]:
+        for tag in ORACLE_TAGS + ("r9", None):
+            want = [
+                r
+                for r in saved
+                if (tag is None or r["tag"] == tag) and (peers is None or r["peer"] in peers)
+            ]
+            assert led.hash_records(round_tag=tag, peers=peers) == want
+    for peer, cid in itertools.product(ORACLE_PEERS, ORACLE_CIDS):
+        want = any(r["peer"] == peer and r["cid"] == cid.hex for r in saved)
+        assert led.has_hash_record(peer, cid) is want
+
+    # reads hand out copies: editing one leaves the indexes intact
+    for rec in led.hash_records(round_tag="r0"):
+        rec["tag"] = "forged"
+    assert led.hash_records() == saved
+    if led.pending_count():
+        led.seal_block(len(steps))
+    assert led.total_gas() == led.cumulative_gas() == spent

@@ -128,6 +128,7 @@ def test_full_run_report_and_artifacts(tmp_path):
         "aborted_iterations": ctx.aborted_iterations,
         "quarantined_updates": len(ctx.quarantined),
         "consumed_updates": len(ctx.consumed_log),
+        "trim_fallbacks": ctx.trim_fallbacks,
     }
     for key, value in counters.items():
         assert getattr(report, key) == value, key

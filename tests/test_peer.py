@@ -366,3 +366,26 @@ def test_byzantine_peer_publishes_saturated_update(tmp_path):
     mask = segment_coordinate_mask(update.delta, ctx.peers[0].segment)
     assert set(np.unique(np.abs(flat[mask]))) == {ctx.cfg.byzantine_scale}
     assert update.claimed_loss == 0.0
+
+
+def test_cluster_mates_match_brute_force(tmp_path):
+    ctx = build_ctx(tmp_path, num_peers=5, num_clusters=2)
+    for pid, peer in ctx.peers.items():
+        want = sorted(
+            p for p, other in ctx.peers.items()
+            if other.cluster_id == peer.cluster_id and p != pid
+        )
+        assert ctx.cluster_mates[pid].tolist() == want
+
+
+@pytest.mark.parametrize("trim_ratio, fallbacks", [(0.0, 0), (0.2, 3)])
+def test_leader_duty_counts_trim_fallbacks(tmp_path, trim_ratio, fallbacks):
+    # fanout 4 keeps the config valid; with one peer per cluster nobody pulls
+    ctx = build_ctx(tmp_path, num_peers=2, num_clusters=2, fanout=4, trim_ratio=trim_ratio)
+    assert ctx.peers[0].peer_iteration(ctx, 0)
+    assert ctx.peers[1].peer_iteration(ctx, 1)
+    assert ctx.trim_fallbacks == 0
+    assert leader_duty(ctx.peers[0], ctx, tick=5) is not None
+    # at 0.2 one update per segment and two for the lower layers are too few to
+    # trim; a zero ratio asks for the plain mean, which is no fallback
+    assert ctx.trim_fallbacks == fallbacks

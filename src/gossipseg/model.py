@@ -4,11 +4,18 @@ The trainable model is a stack of shared lower-layer tensors plus one final
 dense layer whose output neurons are split into contiguous per-cluster
 segments.  Only the final layer is ever masked; lower layers are common to
 every peer.
+
+Parameters live in one contiguous float64 vector in canonical tensor order
+(lower layers, final weights, final bias); each tensor is a view into it.
+The wire encoding is a shape header followed by that vector's bytes.
 """
 from __future__ import annotations
 
+import functools
+import itertools
+import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,82 +55,104 @@ class SegmentSpec:
         return self.start <= row <= self.end
 
 
-def _as_f64(t: np.ndarray) -> np.ndarray:
-    return np.asarray(t, dtype=np.float64)
+class _Layout:
+    """Where each tensor sits in the flat vector; computed once per geometry."""
+
+    def __init__(self, shapes: tuple[tuple[int, ...], ...]) -> None:
+        sizes = [math.prod(shape) for shape in shapes]
+        ends = list(itertools.accumulate(sizes))
+        self.shapes = shapes
+        self.slices = [slice(end - size, end) for size, end in zip(sizes, ends)]
+        self.size = ends[-1]
+        # the final layer (weights, then bias) is the tail buf[final:]
+        self.final = self.slices[-2].start
+        self.header = b"".join(
+            [_MAGIC, struct.pack("<HH", _VERSION, len(shapes))]
+            + [struct.pack(f"<B{len(s)}I", len(s), *s) for s in shapes]
+        )
+        self.masks: dict[SegmentSpec, np.ndarray] = {}
 
 
-@dataclass
+@functools.lru_cache(maxsize=64)
+def _layout(shapes: tuple[tuple[int, ...], ...]) -> _Layout:
+    return _Layout(shapes)
+
+
 class ModelParams:
-    """Ordered lower-layer tensors plus the segmented final dense layer."""
+    """Ordered lower-layer tensors plus the segmented final dense layer.
 
-    lower_layers: list[np.ndarray]
-    last_layer_weights: np.ndarray
-    last_layer_bias: np.ndarray
+    ``buf`` holds every parameter and is fixed at construction;
+    ``lower_layers``, ``last_layer_weights`` and ``last_layer_bias`` are
+    views into it, so writing through a view writes ``buf``.
+    """
 
-    def __post_init__(self) -> None:
-        self.lower_layers = [_as_f64(t) for t in self.lower_layers]
-        self.last_layer_weights = _as_f64(self.last_layer_weights)
-        self.last_layer_bias = _as_f64(self.last_layer_bias)
-        if self.last_layer_weights.ndim != 2:
+    def __init__(
+        self,
+        lower_layers: list[np.ndarray],
+        last_layer_weights: np.ndarray,
+        last_layer_bias: np.ndarray,
+    ) -> None:
+        tensors = [
+            np.asarray(t, dtype=np.float64)
+            for t in (*lower_layers, last_layer_weights, last_layer_bias)
+        ]
+        if tensors[-2].ndim != 2:
             raise ShapeMismatchError("final layer weights must be rank 2")
-        if self.last_layer_bias.ndim != 1:
+        if tensors[-1].ndim != 1:
             raise ShapeMismatchError("final layer bias must be rank 1")
-        if self.last_layer_bias.shape[0] != self.last_layer_weights.shape[0]:
+        if tensors[-1].shape[0] != tensors[-2].shape[0]:
             raise ShapeMismatchError("final layer bias length must match weight rows")
+        self.buf = np.concatenate([t.ravel() for t in tensors])
+        self._layout = _layout(tuple(t.shape for t in tensors))
+
+    @classmethod
+    def _over(cls, buf: np.ndarray, layout: _Layout) -> "ModelParams":
+        params = cls.__new__(cls)
+        params.buf = buf
+        params._layout = layout
+        return params
+
+    @functools.cached_property
+    def _views(self) -> list[np.ndarray]:
+        layout = self._layout
+        return [self.buf[s].reshape(shape) for s, shape in zip(layout.slices, layout.shapes)]
+
+    @property
+    def shapes(self) -> tuple[tuple[int, ...], ...]:
+        return self._layout.shapes
+
+    @property
+    def lower_layers(self) -> list[np.ndarray]:
+        return self._views[:-2]
+
+    @property
+    def last_layer_weights(self) -> np.ndarray:
+        return self._views[-2]
+
+    @property
+    def last_layer_bias(self) -> np.ndarray:
+        return self._views[-1]
 
     @property
     def num_output_units(self) -> int:
-        return self.last_layer_weights.shape[0]
+        return self.shapes[-1][0]
 
     def tensors(self) -> list[np.ndarray]:
-        return [*self.lower_layers, self.last_layer_weights, self.last_layer_bias]
+        return list(self._views)
+
+    def with_buf(self, buf: np.ndarray) -> "ModelParams":
+        """Parameters of this geometry over the float64 vector ``buf``."""
+        if buf.shape != (self._layout.size,):
+            raise ShapeMismatchError(f"flat vector must have {self._layout.size} entries")
+        return ModelParams._over(buf, self._layout)
 
     def copy(self) -> "ModelParams":
-        return ModelParams(
-            [t.copy() for t in self.lower_layers],
-            self.last_layer_weights.copy(),
-            self.last_layer_bias.copy(),
-        )
+        return ModelParams._over(self.buf.copy(), self._layout)
 
 
 def _check_same_geometry(a: ModelParams, b: ModelParams) -> None:
-    ta, tb = a.tensors(), b.tensors()
-    if len(ta) != len(tb) or any(x.shape != y.shape for x, y in zip(ta, tb)):
+    if a.shapes != b.shapes:
         raise ShapeMismatchError("parameter geometries differ")
-
-
-def zeros_like(params: ModelParams) -> ModelParams:
-    return ModelParams(
-        [np.zeros_like(t) for t in params.lower_layers],
-        np.zeros_like(params.last_layer_weights),
-        np.zeros_like(params.last_layer_bias),
-    )
-
-
-def params_add(a: ModelParams, b: ModelParams) -> ModelParams:
-    _check_same_geometry(a, b)
-    return ModelParams(
-        [x + y for x, y in zip(a.lower_layers, b.lower_layers)],
-        a.last_layer_weights + b.last_layer_weights,
-        a.last_layer_bias + b.last_layer_bias,
-    )
-
-
-def params_sub(a: ModelParams, b: ModelParams) -> ModelParams:
-    _check_same_geometry(a, b)
-    return ModelParams(
-        [x - y for x, y in zip(a.lower_layers, b.lower_layers)],
-        a.last_layer_weights - b.last_layer_weights,
-        a.last_layer_bias - b.last_layer_bias,
-    )
-
-
-def params_scale(a: ModelParams, factor: float) -> ModelParams:
-    return ModelParams(
-        [t * factor for t in a.lower_layers],
-        a.last_layer_weights * factor,
-        a.last_layer_bias * factor,
-    )
 
 
 def segment_boundaries(num_units: int, num_segments: int) -> list[SegmentSpec]:
@@ -155,12 +184,24 @@ def mask_to_segment(update: ModelParams, seg: SegmentSpec) -> ModelParams:
             f"segment end {seg.end} outside final layer of "
             f"{update.num_output_units} units"
         )
-    weights = np.zeros_like(update.last_layer_weights)
-    bias = np.zeros_like(update.last_layer_bias)
-    rows = seg.rows()
-    weights[rows] = update.last_layer_weights[rows]
-    bias[rows] = update.last_layer_bias[rows]
-    return ModelParams([t.copy() for t in update.lower_layers], weights, bias)
+    masked = update.copy()
+    for tensor in (masked.last_layer_weights, masked.last_layer_bias):
+        tensor[: seg.start] = 0.0
+        tensor[seg.end + 1 :] = 0.0
+    return masked
+
+
+def segment_coordinate_mask(template: ModelParams, seg: SegmentSpec) -> np.ndarray:
+    """Read-only boolean mask over ``buf``: lower layers plus owned rows."""
+    layout = template._layout
+    if seg not in layout.masks:
+        mask = np.zeros(layout.size, dtype=bool)
+        mask[: layout.final] = True
+        mask[layout.slices[-2]].reshape(layout.shapes[-2])[seg.rows()] = True
+        mask[layout.slices[-1]][seg.rows()] = True
+        mask.flags.writeable = False
+        layout.masks[seg] = mask
+    return layout.masks[seg]
 
 
 def assemble_global(
@@ -176,11 +217,10 @@ def assemble_global(
     """
     by_cluster = {s.cluster_id: s for s in specs}
     result = base.copy()
+    lower, final = slice(0, base._layout.final), slice(base._layout.final, None)
     if lower_delta is not None:
         _check_same_geometry(base, lower_delta)
-        result.lower_layers = [
-            b + d for b, d in zip(result.lower_layers, lower_delta.lower_layers)
-        ]
+        result.buf[lower] += lower_delta.buf[lower]
     claimed: dict[int, int] = {}
     for cluster_id, delta in sorted(per_segment_deltas.items()):
         if cluster_id not in by_cluster:
@@ -202,60 +242,26 @@ def assemble_global(
                     f"row {row} contributed by clusters {claimed[row]} and {cluster_id}"
                 )
             claimed[row] = cluster_id
-        result.last_layer_weights += delta.last_layer_weights
-        result.last_layer_bias += delta.last_layer_bias
+        result.buf[final] += delta.buf[final]
     return result
-
-
-def flatten(params: ModelParams) -> np.ndarray:
-    return np.concatenate([t.ravel() for t in params.tensors()])
-
-
-def unflatten(vec: np.ndarray, template: ModelParams) -> ModelParams:
-    vec = np.asarray(vec, dtype=np.float64)
-    total = sum(t.size for t in template.tensors())
-    if vec.ndim != 1 or vec.size != total:
-        raise ShapeMismatchError(f"flat vector must have {total} entries")
-    out = []
-    offset = 0
-    for t in template.tensors():
-        out.append(vec[offset : offset + t.size].reshape(t.shape))
-        offset += t.size
-    return ModelParams(out[:-2], out[-2], out[-1])
-
-
-def segment_coordinate_mask(template: ModelParams, seg: SegmentSpec) -> np.ndarray:
-    """Boolean mask over the flattened vector: lower layers plus owned rows."""
-    parts = [np.ones(t.size, dtype=bool) for t in template.lower_layers]
-    wmask = np.zeros(template.last_layer_weights.shape, dtype=bool)
-    bmask = np.zeros(template.last_layer_bias.shape, dtype=bool)
-    wmask[seg.rows()] = True
-    bmask[seg.rows()] = True
-    parts.append(wmask.ravel())
-    parts.append(bmask.ravel())
-    return np.concatenate(parts)
 
 
 def canonical_bytes(params: ModelParams) -> bytes:
     """Versioned, byte-deterministic encoding of all tensors as float64 LE."""
-    tensors = params.tensors()
-    for t in tensors:
-        if not np.all(np.isfinite(t)):
-            raise SerializationError("non-finite parameter value")
-    out = [_MAGIC, struct.pack("<HH", _VERSION, len(tensors))]
-    for t in tensors:
-        out.append(struct.pack("<B", t.ndim))
-        out.append(struct.pack(f"<{t.ndim}I", *t.shape))
-    for t in tensors:
-        out.append(np.ascontiguousarray(t, dtype="<f8").tobytes())
-    return b"".join(out)
+    if not np.isfinite(params.buf).all():
+        raise SerializationError("non-finite parameter value")
+    return params._layout.header + params.buf.astype("<f8", copy=False).tobytes()
 
 
-def params_from_bytes(buf: bytes) -> ModelParams:
-    """Decode :func:`canonical_bytes` output; exact round trip."""
-    if len(buf) < 8 or buf[:4] != _MAGIC:
+def params_from_bytes(blob: bytes) -> ModelParams:
+    """Decode :func:`canonical_bytes` output; exact round trip.
+
+    Every malformed encoding, including a geometry no model can have, raises
+    :class:`SerializationError`.
+    """
+    if len(blob) < 8 or blob[:4] != _MAGIC:
         raise SerializationError("bad magic")
-    version, count = struct.unpack_from("<HH", buf, 4)
+    version, count = struct.unpack_from("<HH", blob, 4)
     if version != _VERSION:
         raise SerializationError(f"unsupported version {version}")
     if count < 2:
@@ -264,27 +270,16 @@ def params_from_bytes(buf: bytes) -> ModelParams:
     shapes: list[tuple[int, ...]] = []
     try:
         for _ in range(count):
-            (rank,) = struct.unpack_from("<B", buf, offset)
-            offset += 1
-            dims = struct.unpack_from(f"<{rank}I", buf, offset)
-            offset += 4 * rank
-            shapes.append(tuple(dims))
-        tensors = []
-        for shape in shapes:
-            size = int(np.prod(shape)) if shape else 1
-            raw = buf[offset : offset + 8 * size]
-            if len(raw) != 8 * size:
-                raise SerializationError("truncated payload")
-            tensors.append(np.frombuffer(raw, dtype="<f8").reshape(shape).copy())
-            offset += 8 * size
+            (rank,) = struct.unpack_from("<B", blob, offset)
+            shapes.append(struct.unpack_from(f"<{rank}I", blob, offset + 1))
+            offset += 1 + 4 * rank
     except struct.error as exc:
         raise SerializationError("truncated header") from exc
-    if offset != len(buf):
-        raise SerializationError("trailing bytes after payload")
-    if len(shapes[-2]) != 2 or len(shapes[-1]) != 1:
-        raise SerializationError("final two tensors must be a matrix and a bias")
-    return ModelParams(tensors[:-2], tensors[-2], tensors[-1])
-
-
-def params_equal(a: ModelParams, b: ModelParams) -> bool:
-    return canonical_bytes(a) == canonical_bytes(b)
+    weights, bias = shapes[-2:]
+    if len(weights) != 2 or len(bias) != 1 or bias[0] != weights[0]:
+        raise SerializationError("final two tensors must be a matrix and its bias")
+    layout = _layout(tuple(shapes))
+    if len(blob) - offset != 8 * layout.size:
+        raise SerializationError("payload length does not match the header")
+    buf = np.frombuffer(blob, dtype="<f8", offset=offset).astype(np.float64)
+    return ModelParams._over(buf, layout)

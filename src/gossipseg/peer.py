@@ -30,13 +30,9 @@ from .model import (
     SegmentSpec,
     assemble_global,
     canonical_bytes,
-    flatten,
     mask_to_segment,
-    params_add,
     params_from_bytes,
-    params_sub,
     segment_coordinate_mask,
-    unflatten,
 )
 from .privacy import clip_and_noise, sigma_at
 
@@ -153,17 +149,22 @@ class RunContext:
         self.ledger.penalize(sender, self.cfg.penalty_amount, reason="integrity")
 
 
-def _robust_combine(ctx: RunContext, flats: list[np.ndarray]) -> np.ndarray:
-    """Trimmed mean when feasible for this count, otherwise plain mean.
+def _robust_combine(
+    ctx: RunContext, flats: list[np.ndarray], fallback: np.ndarray | None = None
+) -> np.ndarray:
+    """Trimmed mean when feasible for this count, otherwise ``fallback``.
 
     A configured trim that is infeasible for this count is counted in
-    ``ctx.trim_fallbacks``.
+    ``ctx.trim_fallbacks``; without a ``fallback`` it falls back to the
+    plain mean, as does a zero trim ratio.
     """
     trim_ratio = ctx.cfg.trim.trim_ratio
     if trim_ratio > 0:
         if is_trim_feasible(len(flats), trim_ratio):
             return trimmed_mean(flats, trim_ratio)
         ctx.trim_fallbacks += 1
+        if fallback is not None:
+            return fallback
     return plain_mean(flats)
 
 
@@ -227,18 +228,16 @@ class Peer:
         schedule_round = min(self.iteration, cfg.dp.total_rounds - 1)
         sigma = sigma_at(schedule_round, cfg.dp)
         mask = segment_coordinate_mask(delta, self.segment)
-        flat = flatten(delta)
-        owned = clip_and_noise(flat[mask], cfg.dp.clip_norm, sigma, self.rng)
-        private = np.zeros_like(flat)
-        private[mask] = owned
-        return unflatten(private, delta)
+        private = np.zeros_like(delta.buf)
+        private[mask] = clip_and_noise(delta.buf[mask], cfg.dp.clip_norm, sigma, self.rng)
+        return delta.with_buf(private)
 
     def _hostile_delta(self, ctx: RunContext, template: ModelParams) -> ModelParams:
         mask = segment_coordinate_mask(template, self.segment)
-        flat = np.zeros(mask.shape, dtype=np.float64)
+        hostile = np.zeros_like(template.buf)
         signs = self.rng.choice(np.array([-1.0, 1.0]), size=int(mask.sum()))
-        flat[mask] = ctx.cfg.byzantine_scale * signs
-        return unflatten(flat, template)
+        hostile[mask] = ctx.cfg.byzantine_scale * signs
+        return template.with_buf(hostile)
 
     def _publish(self, ctx: RunContext, payload: bytes) -> Cid | None:
         try:
@@ -272,6 +271,30 @@ class Peer:
             return None
         return content
 
+    def _pull(
+        self, ctx: RunContext, sender: int, cid_hex: str, segment: SegmentSpec
+    ) -> UpdatePayload | None:
+        """Fetch, validate and decode one round update, masked to ``segment``.
+
+        An update that does not decode to this peer's geometry is flagged
+        like a tampered one; only an accepted update is logged as consumed.
+        """
+        cid = Cid(bytes.fromhex(cid_hex))
+        content = self._fetch_validated(ctx, sender, cid)
+        if content is None:
+            return None
+        try:
+            update = decode_update(content)
+        except SerializationError:
+            update = None
+        if update is None or update.delta.shapes != self.baseline.shapes:
+            ctx.flag_bad_update(self.peer_id, sender, cid)
+            return None
+        if update.sender != sender or update.round_index != ctx.global_round:
+            return None
+        ctx.consumed_log.append((self.peer_id, sender, cid.hex))
+        return replace(update, delta=mask_to_segment(update.delta, segment))
+
     def _collect(self, ctx: RunContext) -> list[UpdatePayload]:
         cfg = ctx.cfg
         mates = ctx.cluster_mates[self.peer_id]
@@ -279,28 +302,10 @@ class Peer:
             return []
         k = min(cfg.fanout, len(mates))
         chosen = set(int(p) for p in self.rng.choice(mates, size=k, replace=False))
-        latest: dict[int, dict] = {}
-        for rec in ctx.ledger.hash_records(
-            round_tag=round_tag(ctx.global_round), peers=chosen
-        ):
-            latest[rec["peer"]] = rec
-        out = []
-        for sender in sorted(latest):
-            cid = Cid(bytes.fromhex(latest[sender]["cid"]))
-            content = self._fetch_validated(ctx, sender, cid)
-            if content is None:
-                continue
-            try:
-                update = decode_update(content)
-            except SerializationError:
-                ctx.flag_bad_update(self.peer_id, sender, cid)
-                continue
-            if update.sender != sender or update.round_index != ctx.global_round:
-                continue
-            masked = mask_to_segment(update.delta, self.segment)
-            ctx.consumed_log.append((self.peer_id, sender, cid.hex))
-            out.append(replace(update, delta=masked))
-        return out
+        records = ctx.ledger.hash_records(round_tag=round_tag(ctx.global_round), peers=chosen)
+        latest = {rec["peer"]: rec["cid"] for rec in records}
+        pulled = [self._pull(ctx, s, latest[s], self.segment) for s in sorted(latest)]
+        return [update for update in pulled if update is not None]
 
     # -- one gossip iteration -------------------------------------------------
 
@@ -314,7 +319,8 @@ class Peer:
         snapshot = (self.params.copy(), self.iteration, self.last_published)
         try:
             self._local_steps(cfg)
-            delta = mask_to_segment(params_sub(self.params, self.baseline), self.segment)
+            delta = self.params.with_buf(self.params.buf - self.baseline.buf)
+            delta = mask_to_segment(delta, self.segment)
             delta_priv = (
                 self._hostile_delta(ctx, delta)
                 if self.byzantine
@@ -329,9 +335,9 @@ class Peer:
             )
             self._publish(ctx, payload)
 
-            vectors = [flatten(delta_priv)]
+            vectors = [delta_priv.buf]
             for update in self._collect(ctx):
-                candidate = params_add(self.baseline, update.delta)
+                candidate = self.baseline.with_buf(self.baseline.buf + update.delta.buf)
                 _, loss_after = trainer.evaluate(
                     candidate, self.eval_features, self.eval_labels
                 )
@@ -344,17 +350,15 @@ class Peer:
                     ctx.ledger.penalize(
                         update.sender, cfg.penalty_amount, reason="loss-deviation"
                     )
-                vectors.append(flatten(update.delta))
+                vectors.append(update.delta.buf)
 
-            if len(vectors) == 1 or (
-                cfg.trim.trim_ratio > 0
-                and not is_trim_feasible(len(vectors), cfg.trim.trim_ratio)
-            ):
-                # too few updates for a feasible trim: pure local progress
-                combined = vectors[0]
-            else:
-                combined = _robust_combine(ctx, vectors)
-            self.params = params_add(self.baseline, unflatten(combined, self.baseline))
+            # alone, or too few updates for a feasible trim: pure local progress
+            combined = (
+                vectors[0]
+                if len(vectors) == 1
+                else _robust_combine(ctx, vectors, fallback=vectors[0])
+            )
+            self.params = self.baseline.with_buf(self.baseline.buf + combined)
             self.iteration += 1
         except LedgerError:
             self.params, self.iteration, self.last_published = snapshot
@@ -390,30 +394,16 @@ def leader_duty(leader: Peer, ctx: RunContext, tick: int) -> Cid | None:
     base = ctx.global_params
     if base is None:
         return None
-    latest: dict[int, dict] = {}
-    for rec in ctx.ledger.hash_records(round_tag=round_tag(ctx.global_round)):
-        if rec["peer"] in ctx.peers:
-            latest[rec["peer"]] = rec
+    records = ctx.ledger.hash_records(round_tag=round_tag(ctx.global_round))
+    latest = {rec["peer"]: rec["cid"] for rec in records if rec["peer"] in ctx.peers}
     by_cluster: dict[int, list[np.ndarray]] = {}
     all_flats: list[np.ndarray] = []
     for sender in sorted(latest):
-        cid = Cid(bytes.fromhex(latest[sender]["cid"]))
-        content = leader._fetch_validated(ctx, sender, cid)
-        if content is None:
-            continue
-        try:
-            update = decode_update(content)
-        except SerializationError:
-            ctx.flag_bad_update(leader.peer_id, sender, cid)
-            continue
-        if update.sender != sender or update.round_index != ctx.global_round:
-            continue
-        sender_cluster = ctx.peers[sender].cluster_id
-        masked = mask_to_segment(update.delta, ctx.segment_specs[sender_cluster])
-        ctx.consumed_log.append((leader.peer_id, sender, cid.hex))
-        flat = flatten(masked)
-        by_cluster.setdefault(sender_cluster, []).append(flat)
-        all_flats.append(flat)
+        cluster_id = ctx.peers[sender].cluster_id
+        update = leader._pull(ctx, sender, latest[sender], ctx.segment_specs[cluster_id])
+        if update is not None:
+            by_cluster.setdefault(cluster_id, []).append(update.delta.buf)
+            all_flats.append(update.delta.buf)
 
     per_segment: dict[int, ModelParams] = {}
     for cluster_id, spec in ctx.segment_specs.items():
@@ -421,13 +411,9 @@ def leader_duty(leader: Peer, ctx: RunContext, tick: int) -> Cid | None:
         if not flats:
             ctx.segment_carryovers += 1
             continue
-        combined = unflatten(_robust_combine(ctx, flats), base)
+        combined = base.with_buf(_robust_combine(ctx, flats))
         per_segment[cluster_id] = mask_to_segment(combined, spec)
-    lower_delta = (
-        unflatten(_robust_combine(ctx, all_flats), base)
-        if all_flats
-        else None
-    )
+    lower_delta = base.with_buf(_robust_combine(ctx, all_flats)) if all_flats else None
     theta = assemble_global(
         base, per_segment, list(ctx.segment_specs.values()), lower_delta
     )

@@ -9,8 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, InvalidInputError
-from .model import ModelParams, params_scale, params_sub
+from .errors import ConfigurationError, InvalidInputError, ShapeMismatchError
+from .model import ModelParams
 
 
 @dataclass(frozen=True)
@@ -87,33 +87,35 @@ def forward_loss(
 def gradient(params: ModelParams, x: np.ndarray, y: np.ndarray) -> ModelParams:
     """Exact mean-loss gradient with the same geometry as ``params``."""
     x, y = _check_batch(params, x, y)
-    w1, _ = params.lower_layers
     pre, hidden, logits = _forward(params, x)
+    grad = params.with_buf(np.empty_like(params.buf))
+    grad_w1, grad_b1 = grad.lower_layers
     # probabilities may flush to subnormal zero under extreme logits; that is
     # the correct limit, so silence underflow for the whole backward pass
     with np.errstate(under="ignore"):
         probs = np.exp(_log_softmax(logits))
         probs[np.arange(len(y)), y] -= 1.0
         probs /= len(y)
-        grad_w2 = probs.T @ hidden
-        grad_b2 = probs.sum(axis=0)
+        np.matmul(probs.T, hidden, out=grad.last_layer_weights)
+        probs.sum(axis=0, out=grad.last_layer_bias)
         back = probs @ params.last_layer_weights
         back[pre <= 0.0] = 0.0
-        grad_w1 = x.T @ back
-        grad_b1 = back.sum(axis=0)
-    return ModelParams([grad_w1, grad_b1], grad_w2, grad_b2)
+        np.matmul(x.T, back, out=grad_w1)
+        back.sum(axis=0, out=grad_b1)
+    return grad
 
 
 def sgd_step(params: ModelParams, delta: ModelParams, learning_rate: float) -> ModelParams:
     """One descent step: ``params - learning_rate * delta``."""
     if learning_rate < 0:
         raise ConfigurationError("learning_rate must be >= 0")
-    return params_sub(params, params_scale(delta, learning_rate))
+    if params.shapes != delta.shapes:
+        raise ShapeMismatchError("parameter geometries differ")
+    return params.with_buf(params.buf - delta.buf * learning_rate)
 
 
 def evaluate(params: ModelParams, x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     """(accuracy, mean loss) on a labeled set."""
-    x, y = _check_batch(params, x, y)
     loss, logits = forward_loss(params, x, y)
     accuracy = float((logits.argmax(axis=1) == y).mean())
     return accuracy, loss

@@ -20,7 +20,6 @@ from gossipseg.cas import Cid
 from gossipseg.config import DataConfig, RunConfig
 from gossipseg.errors import LedgerError
 from gossipseg.ledger import Ledger
-from gossipseg.model import flatten, unflatten
 from gossipseg.orchestrator import run_full, run_phase1
 from gossipseg.paillier import (
     add,
@@ -181,16 +180,16 @@ def test_criterion_05_gradient_check():
         params = init_params(dim, hidden, classes, rng)
         x = rng.normal(size=(6, dim))
         y = rng.integers(0, classes, size=6)
-        analytic = flatten(gradient(params, x, y))
-        flat = flatten(params)
+        analytic = gradient(params, x, y).buf
+        flat = params.buf
         numeric = np.zeros_like(flat)
         for i in range(flat.size):
             plus, minus = flat.copy(), flat.copy()
             plus[i] += h
             minus[i] -= h
             numeric[i] = (
-                forward_loss(unflatten(plus, params), x, y)[0]
-                - forward_loss(unflatten(minus, params), x, y)[0]
+                forward_loss(params.with_buf(plus), x, y)[0]
+                - forward_loss(params.with_buf(minus), x, y)[0]
             ) / (2 * h)
         rel = float(
             np.linalg.norm(analytic - numeric) / max(np.linalg.norm(numeric), 1e-12)

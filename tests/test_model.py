@@ -1,8 +1,11 @@
 """Segment geometry, masking, reassembly, and the wire format."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given
+import hypothesis.extra.numpy as hnp
 import hypothesis.strategies as st
 
 from gossipseg.errors import IntegrityError, SerializationError, ShapeMismatchError
@@ -11,16 +14,10 @@ from gossipseg.model import (
     SegmentSpec,
     assemble_global,
     canonical_bytes,
-    flatten,
     mask_to_segment,
-    params_add,
-    params_equal,
     params_from_bytes,
-    params_sub,
     segment_boundaries,
     segment_coordinate_mask,
-    unflatten,
-    zeros_like,
 )
 
 
@@ -135,19 +132,20 @@ def test_assemble_global_without_lower_delta_keeps_lower_layers(rng):
 
 
 @given(st.integers(min_value=1, max_value=9), st.integers(min_value=1, max_value=9))
-def test_flatten_roundtrip(input_dim, hidden):
+def test_with_buf_roundtrip(input_dim, hidden):
     rng = np.random.default_rng(input_dim * 100 + hidden)
     params = make_params(rng, input_dim=input_dim, hidden=hidden, classes=4)
-    flat = flatten(params)
-    assert flat.ndim == 1
-    back = unflatten(flat, params)
-    assert params_equal(back, params)
+    assert params.buf.ndim == 1
+    assert np.array_equal(params.buf, np.concatenate([t.ravel() for t in params.tensors()]))
+    back = params.with_buf(params.buf.copy())
+    assert back.shapes == params.shapes
+    assert canonical_bytes(back) == canonical_bytes(params)
 
 
-def test_unflatten_rejects_wrong_length(rng):
+def test_with_buf_rejects_wrong_length(rng):
     params = make_params(rng)
     with pytest.raises(ShapeMismatchError):
-        unflatten(np.zeros(3), params)
+        params.with_buf(np.zeros(3))
 
 
 def test_segment_coordinate_mask_counts(rng):
@@ -158,9 +156,12 @@ def test_segment_coordinate_mask_counts(rng):
     hidden = params.last_layer_weights.shape[1]
     assert mask.dtype == np.bool_
     assert mask.sum() == lower_size + spec.size * (hidden + 1)
-    # masked flat delta has zero support outside the mask
-    flat = flatten(mask_to_segment(params, spec))
+    # masked delta has zero support outside the mask
+    flat = mask_to_segment(params, spec).buf
     assert not flat[~mask].any()
+    # built once per geometry and spec, and callers cannot corrupt the cached copy
+    assert segment_coordinate_mask(make_params(rng), spec) is mask
+    assert not mask.flags.writeable
 
 
 def test_canonical_bytes_roundtrip_bitwise(rng):
@@ -168,8 +169,88 @@ def test_canonical_bytes_roundtrip_bitwise(rng):
     blob = canonical_bytes(params)
     assert blob.startswith(b"GSM1")
     back = params_from_bytes(blob)
-    assert params_equal(back, params)
+    assert back.buf.tobytes() == params.buf.tobytes()
     assert canonical_bytes(back) == blob
+
+
+def reference_encode(tensors):
+    """Per-tensor GSM1 encoder: header of ranks and dims, then each tensor."""
+    out = [b"GSM1", struct.pack("<HH", 1, len(tensors))]
+    for t in tensors:
+        out.append(struct.pack("<B", t.ndim))
+        out.append(struct.pack(f"<{t.ndim}I", *t.shape))
+    for t in tensors:
+        out.append(np.ascontiguousarray(t, dtype="<f8").tobytes())
+    return b"".join(out)
+
+
+def reference_decode(blob):
+    """Per-tensor GSM1 decoder for well-formed input."""
+    (count,) = struct.unpack_from("<H", blob, 6)
+    offset = 8
+    shapes = []
+    for _ in range(count):
+        (rank,) = struct.unpack_from("<B", blob, offset)
+        shapes.append(struct.unpack_from(f"<{rank}I", blob, offset + 1))
+        offset += 1 + 4 * rank
+    tensors = []
+    for shape in shapes:
+        size = int(np.prod(shape))
+        tensors.append(np.frombuffer(blob, "<f8", size, offset).reshape(shape))
+        offset += 8 * size
+    return tensors
+
+
+# finite values with signed zeros and subnormals drawn on purpose
+_values = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072e-308, -1e-310]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def geometries(draw):
+    lower = draw(
+        st.lists(st.lists(st.integers(0, 4), min_size=0, max_size=3).map(tuple), max_size=3)
+    )
+    units, hidden = draw(st.integers(1, 5)), draw(st.integers(0, 5))
+    shapes = [*lower, (units, hidden), (units,)]
+    return [draw(hnp.arrays(np.float64, shape, elements=_values)) for shape in shapes]
+
+
+@given(geometries())
+def test_codec_matches_per_tensor_reference(tensors):
+    params = ModelParams(tensors[:-2], tensors[-2], tensors[-1])
+    blob = canonical_bytes(params)
+    assert blob == reference_encode(tensors)
+    back = params_from_bytes(blob)
+    assert back.shapes == tuple(t.shape for t in tensors)
+    assert back.buf.tobytes() == params.buf.tobytes()
+    for got, want in zip(back.tensors(), reference_decode(blob)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    # every tensor is a view into the one buffer, in canonical order
+    for decoded in (params, back):
+        views = decoded.tensors()
+        assert all(np.shares_memory(v, decoded.buf) or v.size == 0 for v in views)
+        assert decoded.buf.tobytes() == b"".join(v.tobytes() for v in views)
+    if back.buf.size:
+        back.tensors()[-1][0] = 1.5
+        assert back.buf[back.buf.size - back.num_output_units] == 1.5
+
+
+def test_params_from_bytes_rejects_malformed_geometry():
+    w1, b1 = np.zeros((4, 3)), np.zeros(3)
+    for tensors in (
+        [w1, b1, np.zeros((3, 3)), np.zeros(2)],  # bias shorter than the weight rows
+        [w1, b1, np.zeros((3, 3, 1)), np.zeros(3)],  # final weights not a matrix
+        [w1, b1, np.zeros((3, 3)), np.zeros((3, 1))],  # bias not a vector
+    ):
+        with pytest.raises(SerializationError):
+            params_from_bytes(reference_encode(tensors))
+    good = reference_encode([w1, b1, np.zeros((3, 3)), np.zeros(3)])
+    for blob in (good + b"\x00", good[:-1], good[:12]):
+        with pytest.raises(SerializationError):
+            params_from_bytes(blob)
 
 
 def test_canonical_bytes_rejects_non_finite(rng):
@@ -189,10 +270,11 @@ def test_params_from_bytes_rejects_garbage():
 def test_params_arithmetic(rng):
     a = make_params(rng)
     b = make_params(rng)
-    total = params_add(a, b)
-    diff = params_sub(total, b)
-    assert np.allclose(flatten(diff), flatten(a), atol=1e-12)
-    z = zeros_like(a)
-    assert not flatten(z).any()
+    total = a.with_buf(a.buf + b.buf)
+    assert np.array_equal(total.last_layer_weights, a.last_layer_weights + b.last_layer_weights)
+    diff = total.with_buf(total.buf - b.buf)
+    assert np.allclose(diff.buf, a.buf, atol=1e-12)
+    z = a.with_buf(np.zeros_like(a.buf))
+    assert not any(t.any() for t in z.tensors())
     # adding exact zeros is bitwise-neutral
-    assert params_equal(params_add(a, z), a)
+    assert canonical_bytes(a.with_buf(a.buf + z.buf)) == canonical_bytes(a)

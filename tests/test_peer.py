@@ -10,14 +10,11 @@ from gossipseg.datasets import synthetic_blobs
 from gossipseg.errors import LedgerError, SerializationError
 from gossipseg.ledger import Ledger
 from gossipseg.model import (
-    flatten,
+    canonical_bytes,
     mask_to_segment,
-    params_equal,
     params_from_bytes,
-    params_sub,
     segment_boundaries,
     segment_coordinate_mask,
-    unflatten,
 )
 from gossipseg.peer import (
     NEUTRAL,
@@ -85,6 +82,15 @@ def build_ctx(tmp_path, num_peers=2, num_clusters=2, fanout=1, trim_ratio=0.0,
     )
 
 
+def same_params(a, b):
+    return canonical_bytes(a) == canonical_bytes(b)
+
+
+def local_delta(peer):
+    delta = peer.params.with_buf(peer.params.buf - peer.baseline.buf)
+    return mask_to_segment(delta, peer.segment)
+
+
 def penalize_rows(ledger):
     if ledger.pending_count():
         ledger.seal_block(999)
@@ -109,7 +115,7 @@ def test_update_wire_roundtrip(rng):
     assert back.sender == 3
     assert back.cluster_id == 1
     assert back.claimed_loss == 0.875
-    assert params_equal(back.delta, delta)
+    assert same_params(back.delta, delta)
 
 
 def test_update_wire_rejects_garbage(rng):
@@ -138,18 +144,18 @@ def test_privatize_identity_inside_ball(tmp_path):
     perturbed = peer.params.copy()
     perturbed.last_layer_weights[peer.segment.rows()] += 0.01
     perturbed.lower_layers[0][...] += 0.02
-    delta = mask_to_segment(params_sub(perturbed, peer.baseline), peer.segment)
+    delta = mask_to_segment(perturbed.with_buf(perturbed.buf - peer.baseline.buf), peer.segment)
     private = peer._privatize(ctx, delta)
-    assert params_equal(private, delta)
+    assert same_params(private, delta)
 
 
 def test_privatize_noise_confined_to_owned_coordinates(tmp_path):
     ctx = build_ctx(tmp_path, sigma=0.5, clip=1.0)
     peer = ctx.peers[0]
-    delta = mask_to_segment(params_sub(peer.params, peer.baseline), peer.segment)
+    delta = local_delta(peer)
     private = peer._privatize(ctx, delta)
     mask = segment_coordinate_mask(delta, peer.segment)
-    flat = flatten(private)
+    flat = private.buf
     assert not flat[~mask].any()
     assert flat[mask].any()  # gaussian draw of this width is nonzero a.s.
 
@@ -159,7 +165,7 @@ def test_hostile_delta_saturates_owned_coordinates(tmp_path):
     peer = ctx.peers[0]
     hostile = peer._hostile_delta(ctx, peer.params)
     mask = segment_coordinate_mask(peer.params, peer.segment)
-    flat = flatten(hostile)
+    flat = hostile.buf
     scale = ctx.cfg.byzantine_scale
     assert set(np.unique(np.abs(flat[mask]))) == {scale}
     assert not flat[~mask].any()
@@ -168,10 +174,7 @@ def test_hostile_delta_saturates_owned_coordinates(tmp_path):
 def test_publish_records_hash_once(tmp_path):
     ctx = build_ctx(tmp_path)
     peer = ctx.peers[0]
-    payload = encode_update(
-        mask_to_segment(params_sub(peer.params, peer.baseline), peer.segment),
-        0, 0, 0, 0.0,
-    )
+    payload = encode_update(local_delta(peer), 0, 0, 0, 0.0)
     cid1 = peer._publish(ctx, payload)
     cid2 = peer._publish(ctx, payload)  # same bytes: dedup, no replay error
     assert cid1 == cid2
@@ -267,7 +270,7 @@ def test_ledger_rejection_rolls_back_peer_state(tmp_path, monkeypatch):
 
     monkeypatch.setattr(ctx.ledger, "save_hash", refuse)
     assert peer.peer_iteration(ctx, 0) is False
-    assert params_equal(peer.params, before_params)
+    assert same_params(peer.params, before_params)
     assert peer.iteration == before_iter
     assert peer.last_published is None
     assert ctx.aborted_iterations == 1
@@ -281,7 +284,7 @@ def test_sync_failure_keeps_local_state(tmp_path):
     before = peer.params.copy()
     assert peer.sync_global(ctx) is False
     assert ctx.integrity_alarms == 1
-    assert params_equal(peer.params, before)
+    assert same_params(peer.params, before)
     assert peer.synced_round == -1
 
 
@@ -289,8 +292,6 @@ def test_maybe_sync_skips_stale_rounds(tmp_path):
     ctx = build_ctx(tmp_path)
     peer = ctx.peers[0]
     assert peer.maybe_sync(ctx) is False  # no cid yet
-    from gossipseg.model import canonical_bytes
-
     ctx.global_cid = ctx.store.put(canonical_bytes(ctx.global_params))
     ctx.global_round = 1
     assert peer.maybe_sync(ctx) is True
@@ -316,8 +317,8 @@ def test_leader_duty_matches_manual_reconstruction(tmp_path):
         spec = ctx.segment_specs[ctx.peers[update.sender].cluster_id]
         masked = mask_to_segment(update.delta, spec)
         deltas[update.sender] = masked
-        flats.append(flatten(masked))
-    lower_mean = unflatten(plain_mean(flats), base)
+        flats.append(masked.buf)
+    lower_mean = base.with_buf(plain_mean(flats))
 
     for cluster_id, spec in ctx.segment_specs.items():
         member_delta = deltas[cluster_id]  # peer id == cluster id here
@@ -362,7 +363,7 @@ def test_byzantine_peer_publishes_saturated_update(tmp_path):
     ctx = build_ctx(tmp_path, num_peers=2, num_clusters=1, fanout=1, byzantine=(0,))
     assert ctx.peers[0].peer_iteration(ctx, 0)
     update = decode_update(ctx.store.get(ctx.peers[0].last_published))
-    flat = flatten(update.delta)
+    flat = update.delta.buf
     mask = segment_coordinate_mask(update.delta, ctx.peers[0].segment)
     assert set(np.unique(np.abs(flat[mask]))) == {ctx.cfg.byzantine_scale}
     assert update.claimed_loss == 0.0
@@ -389,3 +390,49 @@ def test_leader_duty_counts_trim_fallbacks(tmp_path, trim_ratio, fallbacks):
     # at 0.2 one update per segment and two for the lower layers are too few to
     # trim; a zero ratio asks for the plain mean, which is no fallback
     assert ctx.trim_fallbacks == fallbacks
+
+
+def publish_foreign_geometry(ctx, sender):
+    """A well-formed GSU1/GSM1 update whose hidden width is 5, not the run's 6."""
+    delta = init_params(4, 5, 4, np.random.default_rng(9))
+    payload = encode_update(delta, ctx.global_round, sender, ctx.peers[sender].cluster_id, 0.0)
+    return ctx.peers[sender]._publish(ctx, payload)
+
+
+def assert_flagged_once(ctx, cid):
+    assert cid.hex in ctx.quarantined
+    assert ctx.integrity_alarms == 1
+    assert all(log_cid != cid.hex for _, _, log_cid in ctx.consumed_log)
+    assert len(penalize_rows(ctx.ledger)) == 1
+
+
+def test_peer_quarantines_update_of_foreign_geometry(tmp_path):
+    ctx = build_ctx(tmp_path, num_peers=2, num_clusters=1, fanout=1)
+    cid = publish_foreign_geometry(ctx, sender=0)
+    assert ctx.peers[1].peer_iteration(ctx, 1)
+    assert ctx.peers[1].iteration == 1
+    assert_flagged_once(ctx, cid)
+
+
+def test_leader_quarantines_update_of_foreign_geometry(tmp_path):
+    ctx = build_ctx(tmp_path, num_peers=2, num_clusters=2, fanout=0)
+    cid = publish_foreign_geometry(ctx, sender=0)
+    assert ctx.peers[1].peer_iteration(ctx, 1)
+    new_cid = leader_duty(ctx.peers[1], ctx, tick=5)
+    assert new_cid is not None and ctx.global_round == 1
+    assert [(c, s) for c, s, _ in ctx.consumed_log] == [(1, 1)]
+    assert ctx.segment_carryovers == 1  # cluster 0 had no usable update
+    assert_flagged_once(ctx, cid)
+
+
+def test_single_pulled_update_too_few_to_trim_keeps_own_delta(tmp_path):
+    # fanout 4 keeps the config valid; peer 1's only mate is peer 0
+    ctx = build_ctx(tmp_path, num_peers=2, num_clusters=1, fanout=4, trim_ratio=0.2)
+    assert ctx.peers[0].peer_iteration(ctx, 0)
+    assert ctx.trim_fallbacks == 0  # a lone own delta is not a combine
+    peer = ctx.peers[1]
+    assert peer.peer_iteration(ctx, 1)
+    assert [(c, s) for c, s, _ in ctx.consumed_log] == [(1, 0)]
+    assert ctx.trim_fallbacks == 1
+    own = decode_update(ctx.store.get(peer.last_published)).delta
+    assert peer.params.buf.tobytes() == (peer.baseline.buf + own.buf).tobytes()

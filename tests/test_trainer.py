@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from gossipseg.errors import InvalidInputError
-from gossipseg.model import flatten, unflatten
 from gossipseg.trainer import (
     TrainConfig,
     evaluate,
@@ -31,7 +30,7 @@ def test_init_shapes_and_determinism():
     assert a.last_layer_weights.shape == (3, 4)
     assert a.last_layer_bias.shape == (3,)
     assert not a.lower_layers[1].any() and not a.last_layer_bias.any()
-    assert np.array_equal(flatten(a), flatten(b))
+    assert np.array_equal(a.buf, b.buf)
 
 
 def test_zero_weights_give_log_num_classes_loss(rng):
@@ -49,8 +48,8 @@ def test_zero_weights_give_log_num_classes_loss(rng):
 
 
 def finite_difference_gradient(params, x, y, h=1e-6):
-    """Central differences on the flattened parameter vector."""
-    flat = flatten(params)
+    """Central differences on the flat parameter vector."""
+    flat = params.buf
     out = np.zeros_like(flat)
     for i in range(flat.size):
         plus = flat.copy()
@@ -58,8 +57,8 @@ def finite_difference_gradient(params, x, y, h=1e-6):
         plus[i] += h
         minus[i] -= h
         out[i] = (
-            forward_loss(unflatten(plus, params), x, y)[0]
-            - forward_loss(unflatten(minus, params), x, y)[0]
+            forward_loss(params.with_buf(plus), x, y)[0]
+            - forward_loss(params.with_buf(minus), x, y)[0]
         ) / (2 * h)
     return out
 
@@ -67,7 +66,7 @@ def finite_difference_gradient(params, x, y, h=1e-6):
 def test_gradient_matches_central_differences(rng):
     params = init_params(4, 3, 3, rng)
     x, y = small_batch(rng, n=8, dim=4, classes=3)
-    analytic = flatten(gradient(params, x, y))
+    analytic = gradient(params, x, y).buf
     numeric = finite_difference_gradient(params, x, y)
     denom = max(float(np.linalg.norm(numeric)), 1e-12)
     assert np.linalg.norm(analytic - numeric) / denom < 1e-6
@@ -76,9 +75,9 @@ def test_gradient_matches_central_differences(rng):
 def test_gradient_of_mean_loss_scales_with_batch(rng):
     params = init_params(4, 3, 2, rng)
     x, y = small_batch(rng, n=6, dim=4, classes=2)
-    whole = flatten(gradient(params, x, y))
+    whole = gradient(params, x, y).buf
     parts = np.mean(
-        [flatten(gradient(params, x[i], np.array(y[i]))) for i in range(len(y))],
+        [gradient(params, x[i], np.array(y[i])).buf for i in range(len(y))],
         axis=0,
     )
     assert np.allclose(whole, parts, atol=1e-12)
@@ -89,7 +88,7 @@ def test_sgd_step_is_elementwise(rng):
     delta = gradient(params, *small_batch(rng, n=4, dim=3, classes=2))
     stepped = sgd_step(params, delta, 0.25)
     assert np.allclose(
-        flatten(stepped), flatten(params) - 0.25 * flatten(delta), atol=0
+        stepped.buf, params.buf - 0.25 * delta.buf, atol=0
     )
 
 

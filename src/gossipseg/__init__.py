@@ -16,7 +16,6 @@ from .ledger import GasTable, Ledger
 from .model import (
     ModelParams,
     SegmentSpec,
-    assemble_global,
     canonical_bytes,
     mask_to_segment,
     params_from_bytes,

@@ -99,7 +99,9 @@ def _cmd_phase1(args: argparse.Namespace) -> int:
     phase1 = run_phase1(cfg)
     out_dir = cfg.resolve_out_dir()
     out_dir.mkdir(parents=True, exist_ok=True)
-    phase1.ledger.dump(cfg.resolve_ledger_out())
+    ledger_path = cfg.resolve_ledger_out()
+    ledger_path.parent.mkdir(parents=True, exist_ok=True)
+    phase1.ledger.dump(ledger_path)
     print(f"cluster assignment: {phase1.assignment.assignment}")
     for cluster_id, spec in sorted(phase1.segment_specs.items()):
         print(f"cluster {cluster_id}: rows [{spec.start}, {spec.end}]")

@@ -1,8 +1,8 @@
 """One-shot clustering of peers by their label distributions.
 
-Seeding and assignment run on plaintext distribution vectors; the final
-per-cluster centroids are produced through homomorphic aggregation so that
-no individual distribution is revealed to the aggregator.
+Seeding and assignment read each peer's plaintext distribution, noised only
+when ``assignment_sigma`` is positive; the centroids are decrypted sums of
+Paillier encryptions, which hide nothing from the party that runs this.
 """
 from __future__ import annotations
 

@@ -8,6 +8,8 @@ every peer.
 Parameters live in one contiguous float64 vector in canonical tensor order
 (lower layers, final weights, final bias); each tensor is a view into it.
 The wire encoding is a shape header followed by that vector's bytes.
+Which coordinates of the vector a segment owns is recorded once per
+(geometry, segment) as :class:`SegmentCoords`.
 """
 from __future__ import annotations
 
@@ -19,12 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConfigurationError,
-    IntegrityError,
-    SerializationError,
-    ShapeMismatchError,
-)
+from .errors import ConfigurationError, SerializationError, ShapeMismatchError
 
 _MAGIC = b"GSM1"
 _VERSION = 1
@@ -51,8 +48,19 @@ class SegmentSpec:
     def rows(self) -> slice:
         return slice(self.start, self.end + 1)
 
-    def contains(self, row: int) -> bool:
-        return self.start <= row <= self.end
+
+@dataclass(frozen=True, eq=False)
+class SegmentCoords:
+    """The coordinates of ``buf`` one segment owns; read-only, in buffer order.
+
+    ``owned`` covers the lower layers plus the segment's rows of the final
+    weights and bias; ``rows`` covers only those final-layer rows;
+    ``foreign`` is every other coordinate, all in the final layer.
+    """
+
+    owned: np.ndarray
+    rows: np.ndarray
+    foreign: np.ndarray
 
 
 class _Layout:
@@ -70,7 +78,7 @@ class _Layout:
             [_MAGIC, struct.pack("<HH", _VERSION, len(shapes))]
             + [struct.pack(f"<B{len(s)}I", len(s), *s) for s in shapes]
         )
-        self.masks: dict[SegmentSpec, np.ndarray] = {}
+        self.segments: dict[SegmentSpec, SegmentCoords] = {}
 
 
 @functools.lru_cache(maxsize=64)
@@ -137,6 +145,11 @@ class ModelParams:
     def num_output_units(self) -> int:
         return self.shapes[-1][0]
 
+    @property
+    def lower_size(self) -> int:
+        """Entries of ``buf`` held by the lower layers; the final layer follows."""
+        return self._layout.final
+
     def tensors(self) -> list[np.ndarray]:
         return list(self._views)
 
@@ -148,11 +161,6 @@ class ModelParams:
 
     def copy(self) -> "ModelParams":
         return ModelParams._over(self.buf.copy(), self._layout)
-
-
-def _check_same_geometry(a: ModelParams, b: ModelParams) -> None:
-    if a.shapes != b.shapes:
-        raise ShapeMismatchError("parameter geometries differ")
 
 
 def segment_boundaries(num_units: int, num_segments: int) -> list[SegmentSpec]:
@@ -179,71 +187,32 @@ def segment_boundaries(num_units: int, num_segments: int) -> list[SegmentSpec]:
 
 def mask_to_segment(update: ModelParams, seg: SegmentSpec) -> ModelParams:
     """Zero all final-layer rows outside ``seg``; lower layers pass through."""
-    if seg.end >= update.num_output_units:
-        raise ShapeMismatchError(
-            f"segment end {seg.end} outside final layer of "
-            f"{update.num_output_units} units"
-        )
     masked = update.copy()
-    for tensor in (masked.last_layer_weights, masked.last_layer_bias):
-        tensor[: seg.start] = 0.0
-        tensor[seg.end + 1 :] = 0.0
+    masked.buf[segment_coords(update, seg).foreign] = 0.0
     return masked
 
 
-def segment_coordinate_mask(template: ModelParams, seg: SegmentSpec) -> np.ndarray:
-    """Read-only boolean mask over ``buf``: lower layers plus owned rows."""
+def segment_coords(template: ModelParams, seg: SegmentSpec) -> SegmentCoords:
+    """What ``seg`` owns in ``template``'s geometry; built once per pair."""
     layout = template._layout
-    if seg not in layout.masks:
+    if seg not in layout.segments:
+        units = layout.shapes[-1][0]
+        if seg.end >= units:
+            raise ShapeMismatchError(f"segment end {seg.end} outside {units} output units")
         mask = np.zeros(layout.size, dtype=bool)
         mask[: layout.final] = True
         mask[layout.slices[-2]].reshape(layout.shapes[-2])[seg.rows()] = True
         mask[layout.slices[-1]][seg.rows()] = True
-        mask.flags.writeable = False
-        layout.masks[seg] = mask
-    return layout.masks[seg]
-
-
-def assemble_global(
-    base: ModelParams,
-    per_segment_deltas: dict[int, ModelParams],
-    specs: list[SegmentSpec],
-    lower_delta: ModelParams | None = None,
-) -> ModelParams:
-    """Compose a global model from per-segment final-layer deltas.
-
-    Each delta must already be masked to its own segment.  Lower layers are
-    taken from ``base`` plus the separately combined ``lower_delta``.
-    """
-    by_cluster = {s.cluster_id: s for s in specs}
-    result = base.copy()
-    lower, final = slice(0, base._layout.final), slice(base._layout.final, None)
-    if lower_delta is not None:
-        _check_same_geometry(base, lower_delta)
-        result.buf[lower] += lower_delta.buf[lower]
-    claimed: dict[int, int] = {}
-    for cluster_id, delta in sorted(per_segment_deltas.items()):
-        if cluster_id not in by_cluster:
-            raise ConfigurationError(f"no segment spec for cluster {cluster_id}")
-        _check_same_geometry(base, delta)
-        spec = by_cluster[cluster_id]
-        nonzero_rows = np.flatnonzero(
-            np.any(delta.last_layer_weights != 0.0, axis=1)
-            | (delta.last_layer_bias != 0.0)
+        tail = mask[layout.final :]
+        coords = SegmentCoords(
+            owned=np.flatnonzero(mask),
+            rows=layout.final + np.flatnonzero(tail),
+            foreign=layout.final + np.flatnonzero(~tail),
         )
-        for row in nonzero_rows.tolist():
-            if not spec.contains(row):
-                raise IntegrityError(
-                    f"delta for cluster {cluster_id} touches row {row} outside "
-                    f"[{spec.start}, {spec.end}]"
-                )
-            if row in claimed:
-                raise IntegrityError(
-                    f"row {row} contributed by clusters {claimed[row]} and {cluster_id}"
-                )
-            claimed[row] = cluster_id
-        result.buf[final] += delta.buf[final]
-    return result
+        for array in vars(coords).values():
+            array.flags.writeable = False
+        layout.segments[seg] = coords
+    return layout.segments[seg]
 
 
 def canonical_bytes(params: ModelParams) -> bytes:

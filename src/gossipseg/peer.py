@@ -9,7 +9,7 @@ evaluation.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -28,11 +28,10 @@ from .ledger import Ledger
 from .model import (
     ModelParams,
     SegmentSpec,
-    assemble_global,
     canonical_bytes,
     mask_to_segment,
     params_from_bytes,
-    segment_coordinate_mask,
+    segment_coords,
 )
 from .privacy import clip_and_noise, sigma_at
 
@@ -223,21 +222,23 @@ class Peer:
             grad = mask_to_segment(grad, self.segment)
             self.params = trainer.sgd_step(self.params, grad, cfg.train.learning_rate)
 
-    def _privatize(self, ctx: RunContext, delta: ModelParams) -> ModelParams:
+    def _privatize(self, ctx: RunContext, delta: np.ndarray) -> np.ndarray:
+        """Clipped, noised copy of the delta on this peer's owned coordinates."""
         cfg = ctx.cfg
         schedule_round = min(self.iteration, cfg.dp.total_rounds - 1)
         sigma = sigma_at(schedule_round, cfg.dp)
-        mask = segment_coordinate_mask(delta, self.segment)
-        private = np.zeros_like(delta.buf)
-        private[mask] = clip_and_noise(delta.buf[mask], cfg.dp.clip_norm, sigma, self.rng)
-        return delta.with_buf(private)
+        return clip_and_noise(delta, cfg.dp.clip_norm, sigma, self.rng)
 
-    def _hostile_delta(self, ctx: RunContext, template: ModelParams) -> ModelParams:
-        mask = segment_coordinate_mask(template, self.segment)
-        hostile = np.zeros_like(template.buf)
-        signs = self.rng.choice(np.array([-1.0, 1.0]), size=int(mask.sum()))
-        hostile[mask] = ctx.cfg.byzantine_scale * signs
-        return template.with_buf(hostile)
+    def _hostile_delta(self, ctx: RunContext, size: int) -> np.ndarray:
+        """Saturated random signs for ``size`` owned coordinates."""
+        signs = self.rng.choice(np.array([-1.0, 1.0]), size=size)
+        return ctx.cfg.byzantine_scale * signs
+
+    def _rebased(self, owned: np.ndarray, delta: np.ndarray) -> ModelParams:
+        """The baseline with ``delta`` added on its ``owned`` coordinates."""
+        buf = self.baseline.buf.copy()
+        buf[owned] += delta
+        return self.baseline.with_buf(buf)
 
     def _publish(self, ctx: RunContext, payload: bytes) -> Cid | None:
         try:
@@ -271,10 +272,8 @@ class Peer:
             return None
         return content
 
-    def _pull(
-        self, ctx: RunContext, sender: int, cid_hex: str, segment: SegmentSpec
-    ) -> UpdatePayload | None:
-        """Fetch, validate and decode one round update, masked to ``segment``.
+    def _pull(self, ctx: RunContext, sender: int, cid_hex: str) -> UpdatePayload | None:
+        """Fetch, validate and decode one round update.
 
         An update that does not decode to this peer's geometry is flagged
         like a tampered one; only an accepted update is logged as consumed.
@@ -293,7 +292,7 @@ class Peer:
         if update.sender != sender or update.round_index != ctx.global_round:
             return None
         ctx.consumed_log.append((self.peer_id, sender, cid.hex))
-        return replace(update, delta=mask_to_segment(update.delta, segment))
+        return update
 
     def _collect(self, ctx: RunContext) -> list[UpdatePayload]:
         cfg = ctx.cfg
@@ -304,7 +303,7 @@ class Peer:
         chosen = set(int(p) for p in self.rng.choice(mates, size=k, replace=False))
         records = ctx.ledger.hash_records(round_tag=round_tag(ctx.global_round), peers=chosen)
         latest = {rec["peer"]: rec["cid"] for rec in records}
-        pulled = [self._pull(ctx, s, latest[s], self.segment) for s in sorted(latest)]
+        pulled = [self._pull(ctx, s, latest[s]) for s in sorted(latest)]
         return [update for update in pulled if update is not None]
 
     # -- one gossip iteration -------------------------------------------------
@@ -319,10 +318,11 @@ class Peer:
         snapshot = (self.params.copy(), self.iteration, self.last_published)
         try:
             self._local_steps(cfg)
-            delta = self.params.with_buf(self.params.buf - self.baseline.buf)
-            delta = mask_to_segment(delta, self.segment)
-            delta_priv = (
-                self._hostile_delta(ctx, delta)
+            # only owned coordinates are combined; all others keep the baseline
+            owned = segment_coords(self.params, self.segment).owned
+            delta = self.params.buf[owned] - self.baseline.buf[owned]
+            own = (
+                self._hostile_delta(ctx, delta.size)
                 if self.byzantine
                 else self._privatize(ctx, delta)
             )
@@ -330,14 +330,17 @@ class Peer:
                 self.params, self.eval_features, self.eval_labels
             )
             claimed = 0.0 if self.byzantine else own_loss
+            published = self.params.with_buf(np.zeros_like(self.params.buf))
+            published.buf[owned] = own
             payload = encode_update(
-                delta_priv, ctx.global_round, self.peer_id, self.cluster_id, claimed
+                published, ctx.global_round, self.peer_id, self.cluster_id, claimed
             )
             self._publish(ctx, payload)
 
-            vectors = [delta_priv.buf]
+            vectors = [own]
             for update in self._collect(ctx):
-                candidate = self.baseline.with_buf(self.baseline.buf + update.delta.buf)
+                pulled = update.delta.buf[owned]
+                candidate = self._rebased(owned, pulled)
                 _, loss_after = trainer.evaluate(
                     candidate, self.eval_features, self.eval_labels
                 )
@@ -350,7 +353,7 @@ class Peer:
                     ctx.ledger.penalize(
                         update.sender, cfg.penalty_amount, reason="loss-deviation"
                     )
-                vectors.append(update.delta.buf)
+                vectors.append(pulled)
 
             # alone, or too few updates for a feasible trim: pure local progress
             combined = (
@@ -358,7 +361,7 @@ class Peer:
                 if len(vectors) == 1
                 else _robust_combine(ctx, vectors, fallback=vectors[0])
             )
-            self.params = self.baseline.with_buf(self.baseline.buf + combined)
+            self.params = self._rebased(owned, combined)
             self.iteration += 1
         except LedgerError:
             self.params, self.iteration, self.last_published = snapshot
@@ -369,27 +372,19 @@ class Peer:
         return True
 
     def _audit_segment(self, ctx: RunContext) -> None:
-        rows = np.ones(self.params.num_output_units, dtype=bool)
-        rows[self.segment.rows()] = False
-        same_w = (
-            self.params.last_layer_weights[rows].tobytes()
-            == self.baseline.last_layer_weights[rows].tobytes()
-        )
-        same_b = (
-            self.params.last_layer_bias[rows].tobytes()
-            == self.baseline.last_layer_bias[rows].tobytes()
-        )
-        if not (same_w and same_b):
+        foreign = segment_coords(self.params, self.segment).foreign
+        if self.params.buf[foreign].tobytes() != self.baseline.buf[foreign].tobytes():
             ctx.segment_violations += 1
 
 
 def leader_duty(leader: Peer, ctx: RunContext, tick: int) -> Cid | None:
     """Reconstruct the global model from the latest validated round updates.
 
-    Per segment, member deltas are combined coordinate-wise; lower layers
-    are combined across every accepted update.  Segments with no updates
-    carry the previous global values.  The result is stored in the block
-    store and its CID recorded on the ledger.
+    Per segment, the rows it owns are combined coordinate-wise over its
+    members' deltas; lower layers are combined across every accepted update.
+    No other coordinate is read, and segments with no updates carry the
+    previous global values.  The result is stored in the block store and its
+    CID recorded on the ledger.
     """
     base = ctx.global_params
     if base is None:
@@ -399,24 +394,22 @@ def leader_duty(leader: Peer, ctx: RunContext, tick: int) -> Cid | None:
     by_cluster: dict[int, list[np.ndarray]] = {}
     all_flats: list[np.ndarray] = []
     for sender in sorted(latest):
-        cluster_id = ctx.peers[sender].cluster_id
-        update = leader._pull(ctx, sender, latest[sender], ctx.segment_specs[cluster_id])
+        update = leader._pull(ctx, sender, latest[sender])
         if update is not None:
-            by_cluster.setdefault(cluster_id, []).append(update.delta.buf)
+            by_cluster.setdefault(ctx.peers[sender].cluster_id, []).append(update.delta.buf)
             all_flats.append(update.delta.buf)
 
-    per_segment: dict[int, ModelParams] = {}
+    theta = base.copy()
     for cluster_id, spec in ctx.segment_specs.items():
-        flats = by_cluster.get(cluster_id, [])
+        flats = by_cluster.get(cluster_id)
         if not flats:
             ctx.segment_carryovers += 1
             continue
-        combined = base.with_buf(_robust_combine(ctx, flats))
-        per_segment[cluster_id] = mask_to_segment(combined, spec)
-    lower_delta = base.with_buf(_robust_combine(ctx, all_flats)) if all_flats else None
-    theta = assemble_global(
-        base, per_segment, list(ctx.segment_specs.values()), lower_delta
-    )
+        rows = segment_coords(base, spec).rows
+        theta.buf[rows] += _robust_combine(ctx, [flat[rows] for flat in flats])
+    if all_flats:
+        lower = slice(0, base.lower_size)
+        theta.buf[lower] += _robust_combine(ctx, [flat[lower] for flat in all_flats])
     content = canonical_bytes(theta)
     cid = ctx.store.put(content)
     if not ctx.ledger.has_hash_record(leader.peer_id, cid):

@@ -42,3 +42,29 @@ def test_golden_run_reproduces_recorded_artifacts(tmp_path):
     report, _ = run_phase2(cfg, phase1)
     assert report.artifact_digests == GOLDEN_DIGESTS
     assert report.final_global_cid == GOLDEN_FINAL_CID
+
+
+# One-row segments, leader combines of up to 24 updates and trim fallbacks
+# on both the peer and the leader side: the paths that read segment ownership.
+SEGMENT_STRESS_DIGESTS = {
+    "ledger": "7335088e7ceca1efb480112770fe1ba51a488bf7f01e3e7b765cf1a8bda22ae9",
+    "metrics": "8d065373ba68cb96ae95578d92fb0ae30c319f84be1f2325d9bf85a17c534e15",
+    "model": "4e7af7569317ab88a71620f204b4301639adce35cee1b02b88aeaa942e609c3d",
+}
+SEGMENT_STRESS_FINAL_CID = "adbd4b56ad2ae137ad8e0d068d32ab00113db07526b50fe7432dedd711c6353d"
+
+
+def test_golden_segment_stress_run_reproduces_recorded_artifacts(tmp_path):
+    cfg = RunConfig(
+        num_peers=24,
+        num_clusters=3,
+        paillier_bits=512,
+        duration_ticks=120,
+        leader_period=30,
+        byzantine_peers=(5,),
+        seed=7,
+        out_dir=str(tmp_path / "run"),
+    )
+    report, _ = run_phase2(cfg, run_phase1(cfg))
+    assert report.artifact_digests == SEGMENT_STRESS_DIGESTS
+    assert report.final_global_cid == SEGMENT_STRESS_FINAL_CID

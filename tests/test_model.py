@@ -8,16 +8,15 @@ from hypothesis import given
 import hypothesis.extra.numpy as hnp
 import hypothesis.strategies as st
 
-from gossipseg.errors import IntegrityError, SerializationError, ShapeMismatchError
+from gossipseg.errors import SerializationError, ShapeMismatchError
 from gossipseg.model import (
     ModelParams,
     SegmentSpec,
-    assemble_global,
     canonical_bytes,
     mask_to_segment,
     params_from_bytes,
     segment_boundaries,
-    segment_coordinate_mask,
+    segment_coords,
 )
 
 
@@ -73,7 +72,6 @@ def test_segment_spec_is_inclusive():
     spec = SegmentSpec(cluster_id=0, start=2, end=4)
     assert spec.size == 3
     assert list(np.arange(10)[spec.rows()]) == [2, 3, 4]
-    assert spec.contains(2) and spec.contains(4) and not spec.contains(5)
 
 
 def test_mask_to_segment_zeroes_only_foreign_rows(rng):
@@ -81,7 +79,7 @@ def test_mask_to_segment_zeroes_only_foreign_rows(rng):
     spec = SegmentSpec(cluster_id=1, start=2, end=3)
     masked = mask_to_segment(params, spec)
     for row in range(params.num_output_units):
-        if spec.contains(row):
+        if spec.start <= row <= spec.end:
             assert np.array_equal(masked.last_layer_weights[row], params.last_layer_weights[row])
             assert masked.last_layer_bias[row] == params.last_layer_bias[row]
         else:
@@ -91,44 +89,6 @@ def test_mask_to_segment_zeroes_only_foreign_rows(rng):
         assert np.array_equal(ours, theirs)
     # original untouched
     assert params.last_layer_weights.any()
-
-
-def test_assemble_global_matches_row_addition_oracle(rng):
-    base = make_params(rng)
-    specs = segment_boundaries(base.num_output_units, 2)
-    deltas = {}
-    for spec in specs:
-        deltas[spec.cluster_id] = mask_to_segment(make_params(rng), spec)
-    lower_delta = make_params(rng)
-    result = assemble_global(base, deltas, specs, lower_delta=lower_delta)
-
-    expected_w = base.last_layer_weights.copy()
-    expected_b = base.last_layer_bias.copy()
-    for spec in specs:
-        for row in range(spec.start, spec.end + 1):
-            expected_w[row] += deltas[spec.cluster_id].last_layer_weights[row]
-            expected_b[row] += deltas[spec.cluster_id].last_layer_bias[row]
-    assert np.allclose(result.last_layer_weights, expected_w, atol=0, rtol=0)
-    assert np.allclose(result.last_layer_bias, expected_b, atol=0, rtol=0)
-    for got, b, d in zip(result.lower_layers, base.lower_layers, lower_delta.lower_layers):
-        assert np.array_equal(got, b + d)
-
-
-def test_assemble_global_rejects_out_of_segment_rows(rng):
-    base = make_params(rng)
-    specs = segment_boundaries(base.num_output_units, 2)
-    bad = make_params(rng)  # nonzero everywhere, claims rows it does not own
-    with pytest.raises(IntegrityError):
-        assemble_global(base, {specs[0].cluster_id: bad}, specs)
-
-
-def test_assemble_global_without_lower_delta_keeps_lower_layers(rng):
-    base = make_params(rng)
-    specs = segment_boundaries(base.num_output_units, 3)
-    deltas = {s.cluster_id: mask_to_segment(make_params(rng), s) for s in specs}
-    result = assemble_global(base, deltas, specs)
-    for got, b in zip(result.lower_layers, base.lower_layers):
-        assert np.array_equal(got, b)
 
 
 @given(st.integers(min_value=1, max_value=9), st.integers(min_value=1, max_value=9))
@@ -151,17 +111,44 @@ def test_with_buf_rejects_wrong_length(rng):
 def test_segment_coordinate_mask_counts(rng):
     params = make_params(rng, input_dim=5, hidden=4, classes=6)
     spec = SegmentSpec(cluster_id=0, start=1, end=3)
-    mask = segment_coordinate_mask(params, spec)
+    coords = segment_coords(params, spec)
     lower_size = sum(t.size for t in params.lower_layers)
     hidden = params.last_layer_weights.shape[1]
-    assert mask.dtype == np.bool_
-    assert mask.sum() == lower_size + spec.size * (hidden + 1)
-    # masked delta has zero support outside the mask
+    assert coords.owned.size == lower_size + spec.size * (hidden + 1)
+    assert coords.owned.size + coords.foreign.size == params.buf.size
+    # masked delta has zero support outside the owned coordinates
     flat = mask_to_segment(params, spec).buf
-    assert not flat[~mask].any()
+    assert not flat[coords.foreign].any()
+    assert np.array_equal(flat[coords.owned], params.buf[coords.owned])
     # built once per geometry and spec, and callers cannot corrupt the cached copy
-    assert segment_coordinate_mask(make_params(rng), spec) is mask
-    assert not mask.flags.writeable
+    assert segment_coords(make_params(rng), spec) is coords
+    assert not any(a.flags.writeable for a in vars(coords).values())
+
+
+def test_segment_coords_index_what_the_segment_owns(rng):
+    params = make_params(rng, input_dim=5, hidden=4, classes=6)
+    spec = SegmentSpec(cluster_id=1, start=2, end=3)
+    coords = segment_coords(params, spec)
+    # oracle: tag each coordinate with its tensor and, in the final layer, its row
+    tensor_of = np.concatenate([np.full(t.size, i) for i, t in enumerate(params.tensors())])
+    row_of = np.concatenate(
+        [np.full(t.size, -1) for t in params.lower_layers]
+        + [np.repeat(np.arange(6), 4), np.arange(6)]
+    )
+    final = tensor_of >= len(params.lower_layers)
+    inside = (row_of >= spec.start) & (row_of <= spec.end)
+    assert coords.owned.tolist() == np.flatnonzero(~final | inside).tolist()
+    assert coords.rows.tolist() == np.flatnonzero(final & inside).tolist()
+    assert coords.foreign.tolist() == np.flatnonzero(final & ~inside).tolist()
+
+
+def test_segment_outside_the_final_layer_is_rejected(rng):
+    params = make_params(rng, classes=6)
+    spec = SegmentSpec(cluster_id=0, start=4, end=6)
+    with pytest.raises(ShapeMismatchError):
+        segment_coords(params, spec)
+    with pytest.raises(ShapeMismatchError):
+        mask_to_segment(params, spec)
 
 
 def test_canonical_bytes_roundtrip_bitwise(rng):

@@ -200,6 +200,17 @@ def test_cli_phase1(tmp_path, capsys):
     assert (out / "gas_report.txt").exists()
 
 
+def test_cli_phase1_creates_ledger_parent_directory(tmp_path, capsys):
+    ledger = tmp_path / "nested" / "deeper" / "ledger.txt"
+    code = main([
+        "phase1", "--peers", "4", "--clusters", "2", "--paillier-bits", "512",
+        "--out-dir", str(tmp_path / "cli-p1"), "--ledger-out", str(ledger),
+    ])
+    assert code == 0
+    assert "cluster assignment" in capsys.readouterr().out
+    assert ledger.is_file() and ledger.read_text().strip()
+
+
 def test_cli_replay_detects_match_and_mismatch(tmp_path, capsys):
     out = tmp_path / "original"
     assert main([

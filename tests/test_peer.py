@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gossipseg.aggregation import TrimConfig, plain_mean
+from gossipseg.aggregation import TrimConfig, is_trim_feasible, plain_mean, trimmed_mean
 from gossipseg.cas import BlockStore, Cid
 from gossipseg.config import DataConfig, RunConfig
 from gossipseg.datasets import synthetic_blobs
@@ -14,7 +14,7 @@ from gossipseg.model import (
     mask_to_segment,
     params_from_bytes,
     segment_boundaries,
-    segment_coordinate_mask,
+    segment_coords,
 )
 from gossipseg.peer import (
     NEUTRAL,
@@ -144,31 +144,28 @@ def test_privatize_identity_inside_ball(tmp_path):
     perturbed = peer.params.copy()
     perturbed.last_layer_weights[peer.segment.rows()] += 0.01
     perturbed.lower_layers[0][...] += 0.02
-    delta = mask_to_segment(perturbed.with_buf(perturbed.buf - peer.baseline.buf), peer.segment)
+    owned = segment_coords(peer.params, peer.segment).owned
+    delta = perturbed.buf[owned] - peer.baseline.buf[owned]
     private = peer._privatize(ctx, delta)
-    assert same_params(private, delta)
+    assert private.tobytes() == delta.tobytes()
 
 
 def test_privatize_noise_confined_to_owned_coordinates(tmp_path):
     ctx = build_ctx(tmp_path, sigma=0.5, clip=1.0)
     peer = ctx.peers[0]
-    delta = local_delta(peer)
-    private = peer._privatize(ctx, delta)
-    mask = segment_coordinate_mask(delta, peer.segment)
-    flat = private.buf
-    assert not flat[~mask].any()
-    assert flat[mask].any()  # gaussian draw of this width is nonzero a.s.
+    assert peer.peer_iteration(ctx, 0)
+    flat = decode_update(ctx.store.get(peer.last_published)).delta.buf
+    coords = segment_coords(peer.params, peer.segment)
+    assert not flat[coords.foreign].any()
+    assert flat[coords.owned].all()  # gaussian draws are nonzero a.s.
 
 
 def test_hostile_delta_saturates_owned_coordinates(tmp_path):
     ctx = build_ctx(tmp_path, byzantine=(0,))
     peer = ctx.peers[0]
-    hostile = peer._hostile_delta(ctx, peer.params)
-    mask = segment_coordinate_mask(peer.params, peer.segment)
-    flat = hostile.buf
-    scale = ctx.cfg.byzantine_scale
-    assert set(np.unique(np.abs(flat[mask]))) == {scale}
-    assert not flat[~mask].any()
+    hostile = peer._hostile_delta(ctx, 40)
+    assert hostile.shape == (40,)
+    assert set(np.unique(np.abs(hostile))) == {ctx.cfg.byzantine_scale}
 
 
 def test_publish_records_hash_once(tmp_path):
@@ -364,8 +361,9 @@ def test_byzantine_peer_publishes_saturated_update(tmp_path):
     assert ctx.peers[0].peer_iteration(ctx, 0)
     update = decode_update(ctx.store.get(ctx.peers[0].last_published))
     flat = update.delta.buf
-    mask = segment_coordinate_mask(update.delta, ctx.peers[0].segment)
-    assert set(np.unique(np.abs(flat[mask]))) == {ctx.cfg.byzantine_scale}
+    coords = segment_coords(update.delta, ctx.peers[0].segment)
+    assert set(np.unique(np.abs(flat[coords.owned]))) == {ctx.cfg.byzantine_scale}
+    assert not flat[coords.foreign].any()
     assert update.claimed_loss == 0.0
 
 
@@ -392,11 +390,16 @@ def test_leader_duty_counts_trim_fallbacks(tmp_path, trim_ratio, fallbacks):
     assert ctx.trim_fallbacks == fallbacks
 
 
-def publish_foreign_geometry(ctx, sender):
-    """A well-formed GSU1/GSM1 update whose hidden width is 5, not the run's 6."""
-    delta = init_params(4, 5, 4, np.random.default_rng(9))
+def publish_dense_update(ctx, sender, seed, hidden=6):
+    """A well-formed update with every coordinate nonzero, foreign rows included."""
+    delta = init_params(4, hidden, 4, np.random.default_rng(seed))
     payload = encode_update(delta, ctx.global_round, sender, ctx.peers[sender].cluster_id, 0.0)
     return ctx.peers[sender]._publish(ctx, payload)
+
+
+def publish_foreign_geometry(ctx, sender):
+    """A well-formed GSU1/GSM1 update whose hidden width is 5, not the run's 6."""
+    return publish_dense_update(ctx, sender, seed=9, hidden=5)
 
 
 def assert_flagged_once(ctx, cid):
@@ -436,3 +439,112 @@ def test_single_pulled_update_too_few_to_trim_keeps_own_delta(tmp_path):
     assert ctx.trim_fallbacks == 1
     own = decode_update(ctx.store.get(peer.last_published)).delta
     assert peer.params.buf.tobytes() == (peer.baseline.buf + own.buf).tobytes()
+
+
+# -- reference: mask every update, combine whole buffers, mask again, add --
+
+
+def reference_combine(flats, trim_ratio, fallback=None):
+    if trim_ratio > 0 and is_trim_feasible(len(flats), trim_ratio):
+        return trimmed_mean(flats, trim_ratio)
+    if trim_ratio > 0 and fallback is not None:
+        return fallback
+    return plain_mean(flats)
+
+
+def reference_leader(ctx, base):
+    """Mask every update to its segment, combine whole buffers, mask again, add."""
+    trim_ratio = ctx.cfg.trim.trim_ratio
+    latest = {rec["peer"]: rec["cid"] for rec in ctx.ledger.hash_records(round_tag="r0")}
+    by_cluster, all_flats = {}, []
+    for sender in sorted(latest):
+        update = decode_update(ctx.store.get(Cid(bytes.fromhex(latest[sender]))))
+        cluster_id = ctx.peers[sender].cluster_id
+        masked = mask_to_segment(update.delta, ctx.segment_specs[cluster_id]).buf
+        by_cluster.setdefault(cluster_id, []).append(masked)
+        all_flats.append(masked)
+    theta = base.copy()
+    lower = sum(t.size for t in base.lower_layers)
+    theta.buf[:lower] += reference_combine(all_flats, trim_ratio)[:lower]
+    for cluster_id in sorted(by_cluster):
+        combined = base.with_buf(reference_combine(by_cluster[cluster_id], trim_ratio))
+        theta.buf[lower:] += mask_to_segment(combined, ctx.segment_specs[cluster_id]).buf[lower:]
+    return theta
+
+
+COMBINE_CASES = [
+    (trim_ratio, clusters, per_combine)
+    for trim_ratio in (0.0, 0.2)
+    for clusters in (1, 2, 3)
+    for per_combine in (1, 2, 8)
+]
+
+
+@pytest.mark.parametrize("trim_ratio, clusters, per_combine", COMBINE_CASES)
+def test_leader_duty_matches_full_buffer_reference(tmp_path, trim_ratio, clusters, per_combine):
+    # fanout 4 keeps the config valid at trim 0.2; nobody pulls here
+    ctx = build_ctx(tmp_path, num_peers=clusters * per_combine, num_clusters=clusters,
+                    fanout=4, trim_ratio=trim_ratio)
+    for pid in ctx.peers:
+        publish_dense_update(ctx, pid, seed=50 + pid)
+    base = ctx.global_params.copy()
+    expected = reference_leader(ctx, base)
+    cid = leader_duty(ctx.peers[0], ctx, tick=5)
+    assert ctx.store.get(cid) == canonical_bytes(expected)
+    assert ctx.segment_carryovers == 0
+
+
+@pytest.mark.parametrize("trim_ratio, clusters, per_combine", COMBINE_CASES)
+def test_peer_iteration_matches_full_buffer_reference(tmp_path, trim_ratio, clusters, per_combine):
+    # peer 0 pulls every mate, so it combines its own delta with per_combine - 1
+    # dense updates; a fanout of at least 4 keeps the config valid at trim 0.2
+    ctx = build_ctx(tmp_path, num_peers=clusters * per_combine, num_clusters=clusters,
+                    fanout=max(4, per_combine - 1), trim_ratio=trim_ratio)
+    for pid in list(ctx.peers)[1:]:
+        publish_dense_update(ctx, pid, seed=50 + pid)
+    peer = ctx.peers[0]
+    collected = []
+    collect = peer._collect
+
+    def recording_collect(c):
+        collected.extend(collect(c))
+        return collected
+
+    peer._collect = recording_collect
+    baseline = peer.baseline.copy()
+    assert peer.peer_iteration(ctx, 1)
+    assert len(collected) == per_combine - 1
+
+    own = decode_update(ctx.store.get(peer.last_published)).delta.buf
+    vectors = [own] + [mask_to_segment(u.delta, peer.segment).buf for u in collected]
+    combined = (
+        own if len(vectors) == 1 else reference_combine(vectors, trim_ratio, fallback=own)
+    )
+    expected = baseline.with_buf(baseline.buf + combined)
+    assert canonical_bytes(peer.params) == canonical_bytes(expected)
+
+
+def test_leader_round_without_accepted_updates_returns_base(tmp_path):
+    ctx = build_ctx(tmp_path, num_peers=3, num_clusters=3, fanout=0)
+    for pid in ctx.peers:
+        ctx.quarantined.add(publish_dense_update(ctx, pid, seed=pid).hex)
+    base = ctx.global_params.copy()
+    cid = leader_duty(ctx.peers[0], ctx, tick=5)
+    assert ctx.store.get(cid) == canonical_bytes(base)
+    assert ctx.segment_carryovers == len(ctx.segment_specs) == 3
+    assert ctx.consumed_log == [] and ctx.global_round == 1
+
+
+@pytest.mark.parametrize("tensor", ["last_layer_weights", "last_layer_bias"])
+def test_audit_counts_one_ulp_write_to_a_foreign_row(tmp_path, tensor):
+    ctx = build_ctx(tmp_path)
+    peer = ctx.peers[0]
+    assert peer.segment.end + 1 < peer.params.num_output_units
+    owned_row, foreign_row = peer.segment.start, peer.segment.end + 1
+    values = getattr(peer.params, tensor)
+    values[owned_row] = np.nextafter(values[owned_row], np.inf)
+    peer._audit_segment(ctx)
+    assert ctx.segment_violations == 0
+    values[foreign_row] = np.nextafter(values[foreign_row], np.inf)
+    peer._audit_segment(ctx)
+    assert ctx.segment_violations == 1

@@ -6,11 +6,13 @@ followed by a length-prefixed list of (digest, size) links.  A node's CID is
 the SHA-256 of its full encoding, and single-block content is its own root.
 Every read re-hashes each block and rejects a DAG that ``put`` would not
 have built, so content that ``get`` returns always hashes back to its CID.
+
+All blocks of a store live in one append-only pack file, ``blocks.pack``,
+as records ``<Q length><node>``, one per distinct node, in write order.
 """
 from __future__ import annotations
 
 import hashlib
-import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,6 +26,8 @@ _LEAF = b"\x00"
 _INTERIOR = b"\x01"
 _DIGEST_LEN = 32
 _LINK_LEN = _DIGEST_LEN + 8  # digest, then the leaf's payload size as <Q
+_RECORD_HEADER = struct.Struct("<Q")  # a pack record's node length
+_PACK_NAME = "blocks.pack"
 
 
 @dataclass(frozen=True, order=True)
@@ -57,7 +61,13 @@ def _encode_interior(links: list[tuple[Cid, int]]) -> bytes:
 
 
 class BlockStore:
-    """One file per block under ``root``, named by the block's digest hex."""
+    """Blocks appended to ``root/blocks.pack``, found through an in-memory index.
+
+    The index maps each stored digest to the (offset, length) of its node in
+    the pack.  A new store truncates the pack, so it starts empty.  The pack
+    is opened afresh, through ``root``, by every read and write: when ``root``
+    is a link, blocks go wherever it points at the time of the call.
+    """
 
     def __init__(self, root: str | Path, block_size: int = DEFAULT_BLOCK_SIZE):
         if block_size < 1:
@@ -65,9 +75,9 @@ class BlockStore:
         self.root = Path(root)
         self.block_size = block_size
         self.root.mkdir(parents=True, exist_ok=True)
-
-    def path_for(self, cid: Cid) -> Path:
-        return self.root / cid.hex
+        self._pack = self.root / _PACK_NAME
+        self._pack.write_bytes(b"")
+        self._index: dict[bytes, tuple[int, int]] = {}
 
     def _chunks(self, content: bytes) -> list[bytes]:
         return [
@@ -75,26 +85,13 @@ class BlockStore:
             for i in range(0, len(content), self.block_size)
         ]
 
-    def compute_cid(self, content: bytes) -> Cid:
-        """Root CID of ``content`` without touching storage."""
-        if len(content) == 0:
-            raise InvalidInputError("content must be non-empty")
-        if len(content) > MAX_CONTENT_BYTES:
-            raise InvalidInputError("content exceeds the 64 GiB limit")
-        chunks = self._chunks(content)
-        leaf_cids = [_node_cid(_LEAF + c) for c in chunks]
-        if len(chunks) == 1:
-            return leaf_cids[0]
-        links = [(cid, len(c)) for cid, c in zip(leaf_cids, chunks)]
-        return _node_cid(_encode_interior(links))
-
     def _write_block(self, node: bytes) -> Cid:
         cid = _node_cid(node)
-        path = self.path_for(cid)
-        if not path.exists():
-            tmp = path.with_suffix(".tmp")
-            tmp.write_bytes(node)
-            os.replace(tmp, path)
+        if cid.digest not in self._index:
+            with open(self._pack, "ab") as pack:
+                offset = pack.tell() + _RECORD_HEADER.size
+                pack.write(_RECORD_HEADER.pack(len(node)) + node)
+            self._index[cid.digest] = (offset, len(node))
         return cid
 
     def put(self, content: bytes) -> Cid:
@@ -113,21 +110,24 @@ class BlockStore:
         return self._write_block(_encode_interior(links))
 
     def _read_block(self, cid: Cid) -> bytes:
-        path = self.path_for(cid)
-        if not path.exists():
+        entry = self._index.get(cid.digest)
+        if entry is None:
             raise NotFoundError(f"no block for {cid.hex}")
-        node = path.read_bytes()
+        offset, length = entry
+        with open(self._pack, "rb") as pack:
+            pack.seek(offset)
+            node = pack.read(length)
         if _node_cid(node) != cid:
             raise IntegrityError(f"block {cid.hex} does not match its digest")
         return node
 
     def get(self, cid: Cid) -> bytes:
-        """Reassemble and verify content; every block is re-hashed.
+        """Reassemble and check content; every block is re-hashed.
 
         Only the canonical DAG of the content is accepted: a leaf root of 1 to
         ``block_size`` bytes, or an interior root over at least two leaves
         where every leaf but the last holds exactly ``block_size`` bytes.
-        Success therefore implies ``compute_cid(content) == cid``.
+        Success therefore implies that ``put(content)`` returns ``cid``.
         """
         node = self._read_block(cid)
         if node[:1] == _LEAF:
@@ -154,11 +154,5 @@ class BlockStore:
             parts.append(leaf[1:])
         return b"".join(parts)
 
-    def verify(self, cid: Cid, content: bytes) -> bool:
-        """True when ``content`` hashes to ``cid``; pure recomputation."""
-        if len(content) == 0 or len(content) > MAX_CONTENT_BYTES:
-            return False
-        return self.compute_cid(content) == cid
-
     def block_count(self) -> int:
-        return sum(1 for p in self.root.iterdir() if p.is_file() and p.suffix != ".tmp")
+        return len(self._index)

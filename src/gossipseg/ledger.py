@@ -232,9 +232,6 @@ class Ledger:
         payload = {"centroids": [[float(v) for v in c] for c in self._centroids]}
         self._record(OP_SAVE_CENTERS, str(caller), payload)
 
-    def cluster_centers(self) -> list[np.ndarray] | None:
-        return None if self._centroids is None else [c.copy() for c in self._centroids]
-
     def assign_segment(self, peer_id: int, spec: SegmentSpec) -> None:
         self._require_registered(peer_id)
         if self._centroids is None:
@@ -263,12 +260,12 @@ class Ledger:
     def save_hash(self, peer_id: int, cid: Cid, round_tag: str) -> None:
         self._require_registered(peer_id)
         cid_hex = cid.hex
-        key = (peer_id, cid_hex)
-        if key in self._hash_keys:
+        same_round = self._records_by_tag_peer.get((round_tag, peer_id), ())
+        if any(rec["cid"] == cid_hex for rec in same_round):
             raise LedgerError(
-                f"peer {peer_id} already recorded cid {cid_hex[:12]}"
+                f"peer {peer_id} already recorded cid {cid_hex[:12]} under {round_tag}"
             )
-        self._hash_keys.add(key)
+        self._hash_keys.add((peer_id, cid_hex))
         self._recorded_cids.add(cid_hex)
         rec = {"peer": peer_id, "cid": cid_hex, "tag": round_tag, "seq": len(self._hash_records)}
         self._hash_records.append(rec)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -78,24 +78,10 @@ class RunReport:
     artifact_digests: dict[str, str] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
+        # str keys, as JSON would make them, sort as text: "10" before "2"
         return {
-            "initial_accuracy": {str(k): v for k, v in self.initial_accuracy.items()},
-            "final_accuracy": {str(k): v for k, v in self.final_accuracy.items()},
-            "growth_delta": {str(k): v for k, v in self.growth_delta.items()},
-            "tokens": {str(k): v for k, v in self.tokens.items()},
-            "total_gas": self.total_gas,
-            "global_rounds": self.global_rounds,
-            "final_global_cid": self.final_global_cid,
-            "ticks": self.ticks,
-            "segment_violations": self.segment_violations,
-            "integrity_alarms": self.integrity_alarms,
-            "segment_carryovers": self.segment_carryovers,
-            "aborted_iterations": self.aborted_iterations,
-            "quarantined_updates": self.quarantined_updates,
-            "consumed_updates": self.consumed_updates,
-            "trim_fallbacks": self.trim_fallbacks,
-            "artifacts": self.artifacts,
-            "artifact_digests": self.artifact_digests,
+            name: {str(k): v for k, v in value.items()} if isinstance(value, dict) else value
+            for name, value in asdict(self).items()
         }
 
 
@@ -271,16 +257,13 @@ def run_phase2(
         store=store,
         segment_specs=phase1.segment_specs,
         peers=peers,
-        test_features=test_x,
-        test_labels=test_y,
         fault_hook=fault_hook,
     )
 
     genesis_leader = ledger.elect_leader(0)
     initial_bytes = canonical_bytes(initial_params)
     genesis_cid = store.put(initial_bytes)
-    if not ledger.has_hash_record(genesis_leader, genesis_cid):
-        ledger.save_hash(genesis_leader, genesis_cid, global_tag(0))
+    ledger.save_hash(genesis_leader, genesis_cid, global_tag(0))
     ctx.global_params = initial_params.copy()
     ctx.global_cid = genesis_cid
     ctx.global_round = 0

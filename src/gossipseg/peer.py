@@ -111,8 +111,6 @@ class RunContext:
     store: BlockStore
     segment_specs: dict[int, SegmentSpec]
     peers: dict[int, "Peer"]
-    test_features: np.ndarray
-    test_labels: np.ndarray
     global_params: ModelParams | None = None
     global_cid: Cid | None = None
     global_round: int = 0
@@ -412,8 +410,7 @@ def leader_duty(leader: Peer, ctx: RunContext, tick: int) -> Cid | None:
         theta.buf[lower] += _robust_combine(ctx, [flat[lower] for flat in all_flats])
     content = canonical_bytes(theta)
     cid = ctx.store.put(content)
-    if not ctx.ledger.has_hash_record(leader.peer_id, cid):
-        ctx.ledger.save_hash(leader.peer_id, cid, global_tag(ctx.global_round + 1))
+    ctx.ledger.save_hash(leader.peer_id, cid, global_tag(ctx.global_round + 1))
     ctx.global_params = theta
     ctx.global_cid = cid
     ctx.global_round += 1

@@ -22,3 +22,22 @@ def small_keypair():
 @pytest.fixture
 def rng():
     return np.random.default_rng(7)
+
+
+def plant(store, node: bytes):
+    """Write a hand-built node under its own digest, bypassing ``put``."""
+    return store._write_block(node)
+
+
+def tamper(store, cid, index: int, mask: int) -> None:
+    """XOR byte ``index`` of the stored node of ``cid`` with ``mask``.
+
+    A negative ``index`` counts from the end of the node, as in a sequence.
+    """
+    offset, length = store._index[cid.digest]
+    position = offset + range(length)[index]
+    with open(store._pack, "r+b") as pack:
+        pack.seek(position)
+        (byte,) = pack.read(1)
+        pack.seek(position)
+        pack.write(bytes([byte ^ mask]))

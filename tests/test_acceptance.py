@@ -15,12 +15,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import tamper
 from gossipseg.aggregation import TrimConfig, is_trim_feasible, trimmed_mean
 from gossipseg.cas import Cid
 from gossipseg.config import DataConfig, RunConfig
 from gossipseg.errors import LedgerError
 from gossipseg.ledger import Ledger
-from gossipseg.orchestrator import run_full, run_phase1
+from gossipseg.orchestrator import run_full, run_phase1, run_phase2
 from gossipseg.paillier import (
     add,
     decrypt,
@@ -233,21 +234,16 @@ def test_criterion_07_integrity_tamper_detection(tmp_path):
             penalty_loss_delta=1e9,
         )
 
-        from gossipseg.cas import BlockStore
-
-        store_dir = cfg.resolve_cas_dir()
+        phase1 = run_phase1(cfg)
 
         def fault(pid, cid, iteration):
             # flip one byte of the target peer's first stored update
             if pid != target or state["cid"] is not None:
                 return
             state["cid"] = cid
-            path = BlockStore(store_dir).path_for(cid)
-            raw = bytearray(path.read_bytes())
-            raw[len(raw) // 2] ^= 0xFF
-            path.write_bytes(bytes(raw))
+            tamper(phase1.store, cid, len(phase1.store._read_block(cid)) // 2, 0xFF)
 
-        _, _, ctx = run_full(cfg, fault_hook=fault)
+        _, ctx = run_phase2(cfg, phase1, fault_hook=fault)
         tampered = state["cid"]
         assert tampered is not None, "fault hook never fired"
         if tampered.hex in ctx.quarantined and ctx.integrity_alarms == 1:

@@ -8,6 +8,8 @@ deterministic.  Update the constants only together with a declared change
 of the run's output.
 """
 
+import hashlib
+
 from gossipseg.config import RunConfig
 from gossipseg.orchestrator import run_phase1, run_phase2
 
@@ -52,9 +54,12 @@ SEGMENT_STRESS_DIGESTS = {
     "model": "4e7af7569317ab88a71620f204b4301639adce35cee1b02b88aeaa942e609c3d",
 }
 SEGMENT_STRESS_FINAL_CID = "adbd4b56ad2ae137ad8e0d068d32ab00113db07526b50fe7432dedd711c6353d"
+# run_report.json with a relative out_dir, so its artifact paths are fixed
+SEGMENT_STRESS_REPORT = "4d767878fdad5ecc73baf6422e667fd2a09c21f1289745b82dd61235ee91f5bc"
 
 
-def test_golden_segment_stress_run_reproduces_recorded_artifacts(tmp_path):
+def test_golden_segment_stress_run_reproduces_recorded_artifacts(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     cfg = RunConfig(
         num_peers=24,
         num_clusters=3,
@@ -63,8 +68,10 @@ def test_golden_segment_stress_run_reproduces_recorded_artifacts(tmp_path):
         leader_period=30,
         byzantine_peers=(5,),
         seed=7,
-        out_dir=str(tmp_path / "run"),
+        out_dir="run",
     )
     report, _ = run_phase2(cfg, run_phase1(cfg))
     assert report.artifact_digests == SEGMENT_STRESS_DIGESTS
     assert report.final_global_cid == SEGMENT_STRESS_FINAL_CID
+    report_bytes = (tmp_path / "run" / "run_report.json").read_bytes()
+    assert hashlib.sha256(report_bytes).hexdigest() == SEGMENT_STRESS_REPORT

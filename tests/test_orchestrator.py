@@ -102,6 +102,7 @@ def test_full_run_report_and_artifacts(tmp_path):
     cfg = tiny_config(tmp_path)
     phase1, report, ctx = run_full(cfg)
 
+    assert [p.name for p in cfg.resolve_cas_dir().iterdir()] == ["blocks.pack"]
     assert report.segment_violations == 0
     assert report.integrity_alarms == 0
     assert report.global_rounds >= 1
@@ -139,6 +140,26 @@ def test_full_run_report_and_artifacts(tmp_path):
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     assert load_config(out / "config.json") == cfg
+
+
+def test_every_global_round_has_one_hash_record(tmp_path):
+    # with a leader every tick, rounds without updates reproduce an earlier
+    # global model, so the same (leader, cid) pair recurs under a new tag
+    cfg = RunConfig(
+        num_peers=4,
+        num_clusters=2,
+        paillier_bits=512,
+        leader_period=1,
+        duration_ticks=60,
+        out_dir=str(tmp_path / "run"),
+    )
+    _, report, ctx = run_full(cfg)
+    assert report.global_rounds == 60
+    for round_index in range(report.global_rounds + 1):
+        assert len(ctx.ledger.hash_records(round_tag=f"g{round_index}")) == 1
+    records = ctx.ledger.hash_records()
+    assert sum(r["tag"].startswith("g") for r in records) == report.global_rounds + 1
+    assert len({(r["peer"], r["cid"]) for r in records if r["tag"].startswith("g")}) < 61
 
 
 def test_metrics_file_format(tmp_path):

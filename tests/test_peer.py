@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import tamper
 from gossipseg.aggregation import TrimConfig, is_trim_feasible, plain_mean, trimmed_mean
 from gossipseg.cas import BlockStore, Cid
 from gossipseg.config import DataConfig, RunConfig
@@ -75,8 +76,6 @@ def build_ctx(tmp_path, num_peers=2, num_clusters=2, fanout=1, trim_ratio=0.0,
         store=store,
         segment_specs=specs,
         peers=peers,
-        test_features=data.features,
-        test_labels=data.labels,
         global_params=base.copy(),
         global_round=0,
     )
@@ -222,9 +221,7 @@ def test_tampered_update_flagged_and_penalized_once(tmp_path):
     sender, consumer = ctx.peers[0], ctx.peers[1]
     assert sender.peer_iteration(ctx, 0)
     cid = sender.last_published
-    raw = bytearray(ctx.store.path_for(cid).read_bytes())
-    raw[-1] ^= 0x01
-    ctx.store.path_for(cid).write_bytes(bytes(raw))
+    tamper(ctx.store, cid, -1, 0x01)
 
     balance_before = ctx.ledger.balance(0)
     assert consumer._fetch_validated(ctx, 0, cid) is None

@@ -12,6 +12,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from gossipseg.config import DataConfig, RunConfig
+from gossipseg.ledger import GasTable
 from gossipseg.orchestrator import run_phase1
 
 
@@ -38,7 +39,7 @@ def main() -> int:
         print(f"{n:>6}  {total:>12,}  {delta:>10}")
         prev = total
 
-    table = RunConfig().gas_table()
+    table = GasTable()
     print("\nper-operation costs:")
     for name in (
         "deploy_contract_1",

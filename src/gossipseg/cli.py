@@ -6,7 +6,6 @@ import dataclasses
 import json
 import sys
 
-from .aggregation import TrimConfig
 from .config import RunConfig, load_config
 from .errors import GossipSegError
 from .orchestrator import (
@@ -17,64 +16,59 @@ from .orchestrator import (
 )
 
 
+# each run flag once: the RunConfig field it sets ("sub.field" for a nested
+# config), the value type, and its help text
+_RUN_FLAGS = {
+    "--peers": ("num_peers", int, None),
+    "--clusters": ("num_clusters", int, None),
+    "--beta": ("beta", float, "Dirichlet concentration"),
+    "--seed": ("seed", int, None),
+    "--ticks": ("duration_ticks", int, "simulation duration"),
+    "--dp-clip": ("dp.clip_norm", float, None),
+    "--dp-sigma-max": ("dp.sigma_max", float, None),
+    "--dp-sigma-min": ("dp.sigma_min", float, None),
+    "--trim-ratio": ("trim.trim_ratio", float, None),
+    "--fanout": ("fanout", int, None),
+    "--leader-period": ("leader_period", int, None),
+    "--cluster-dp": ("cluster_dp", bool, "noise label distributions before clustering"),
+    "--paillier-bits": ("paillier_bits", int, None),
+    "--out-dir": ("out_dir", str, None),
+    "--cas-dir": ("cas_dir", str, None),
+    "--metrics-out": ("metrics_out", str, None),
+    "--ledger-out": ("ledger_out", str, None),
+}
+
+
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", type=str, default=None, help="JSON config file")
-    p.add_argument("--peers", type=int, default=None)
-    p.add_argument("--clusters", type=int, default=None)
-    p.add_argument("--beta", type=float, default=None, help="Dirichlet concentration")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--ticks", type=int, default=None, help="simulation duration")
-    p.add_argument("--dp-clip", type=float, default=None)
-    p.add_argument("--dp-sigma-max", type=float, default=None)
-    p.add_argument("--dp-sigma-min", type=float, default=None)
-    p.add_argument("--trim-ratio", type=float, default=None)
-    p.add_argument("--fanout", type=int, default=None)
-    p.add_argument("--leader-period", type=int, default=None)
-    p.add_argument("--deterministic", action="store_true", default=None)
-    p.add_argument("--no-deterministic", dest="deterministic", action="store_false")
-    p.add_argument("--cluster-dp", action="store_true", default=None)
-    p.add_argument("--paillier-bits", type=int, default=None)
-    p.add_argument("--out-dir", type=str, default=None)
-    p.add_argument("--cas-dir", type=str, default=None)
-    p.add_argument("--metrics-out", type=str, default=None)
-    p.add_argument("--ledger-out", type=str, default=None)
+    for flag, (path, value_type, help_text) in _RUN_FLAGS.items():
+        if value_type is bool:
+            p.add_argument(flag, dest=path, action="store_true", default=None, help=help_text)
+        else:
+            p.add_argument(flag, dest=path, type=value_type, default=None, help=help_text)
 
 
 def _build_config(args: argparse.Namespace) -> RunConfig:
+    """The config file (or defaults) with every given flag applied at once.
+
+    Each nested config and then the run config is replaced once, so no
+    half-applied combination of flags is ever validated on its own.
+    """
     cfg = load_config(args.config) if args.config else RunConfig()
-    scalar = {
-        "peers": "num_peers",
-        "clusters": "num_clusters",
-        "beta": "beta",
-        "seed": "seed",
-        "ticks": "duration_ticks",
-        "fanout": "fanout",
-        "leader_period": "leader_period",
-        "deterministic": "deterministic",
-        "cluster_dp": "cluster_dp",
-        "paillier_bits": "paillier_bits",
-        "out_dir": "out_dir",
-        "cas_dir": "cas_dir",
-        "metrics_out": "metrics_out",
-        "ledger_out": "ledger_out",
-    }
-    updates = {}
-    for arg_name, field_name in scalar.items():
-        value = getattr(args, arg_name)
-        if value is not None:
-            updates[field_name] = value
-    dp_kwargs = {}
-    if args.dp_clip is not None:
-        dp_kwargs["clip_norm"] = args.dp_clip
-    if args.dp_sigma_max is not None:
-        dp_kwargs["sigma_max"] = args.dp_sigma_max
-    if args.dp_sigma_min is not None:
-        dp_kwargs["sigma_min"] = args.dp_sigma_min
-    if dp_kwargs:
-        updates["dp"] = dataclasses.replace(cfg.dp, **dp_kwargs)
-    if args.trim_ratio is not None:
-        updates["trim"] = TrimConfig(trim_ratio=args.trim_ratio)
-    return dataclasses.replace(cfg, **updates) if updates else cfg
+    outer: dict = {}
+    nested: dict[str, dict] = {}
+    for path, _, _ in _RUN_FLAGS.values():
+        value = getattr(args, path)
+        if value is None:
+            continue
+        sub, _, name = path.rpartition(".")
+        if sub:
+            nested.setdefault(sub, {})[name] = value
+        else:
+            outer[name] = value
+    for sub, changes in nested.items():
+        outer[sub] = dataclasses.replace(getattr(cfg, sub), **changes)
+    return dataclasses.replace(cfg, **outer)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:

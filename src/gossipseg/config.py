@@ -3,21 +3,23 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .aggregation import TrimConfig, is_trim_feasible
 from .errors import ConfigurationError
-from .ledger import GasTable
 from .privacy import DpConfig
 from .trainer import TrainConfig
 
 
 @dataclass(frozen=True)
 class DataConfig:
-    """Synthetic blob corpus by default; IDX files when paths are given."""
+    """Synthetic blob corpus by default; IDX files when ``idx_images`` is set.
 
-    kind: str = "blobs"
+    The four IDX paths come together: train and test images and labels.
+    """
+
     num_classes: int = 4
     samples_per_class: int = 400
     test_per_class: int = 100
@@ -30,10 +32,11 @@ class DataConfig:
     idx_test_labels: str | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("blobs", "idx"):
-            raise ConfigurationError(f"unknown dataset kind {self.kind!r}")
-        if self.kind == "idx" and (self.idx_images is None or self.idx_labels is None):
-            raise ConfigurationError("idx datasets need image and label paths")
+        paths = (self.idx_images, self.idx_labels, self.idx_test_images, self.idx_test_labels)
+        if any(p is not None for p in paths) and any(p is None for p in paths):
+            raise ConfigurationError(
+                "idx datasets need train and test image and label paths"
+            )
         if self.num_classes < 2:
             raise ConfigurationError("need at least two classes")
         if self.samples_per_class < 1 or self.test_per_class < 1 or self.input_dim < 1:
@@ -52,17 +55,14 @@ class RunConfig:
     interval_min: int = 3
     interval_max: int = 8
     fanout: int = 2
-    deterministic: bool = True
     cluster_dp: bool = False
     paillier_bits: int = 1024
-    fixed_point_scale: int = 10**6
     initial_tokens: int = 1000
     reward_amount: int = 10
     penalty_amount: int = 10
     penalty_loss_delta: float = 0.5
     byzantine_peers: tuple[int, ...] = ()
     byzantine_scale: float = 1000.0
-    audit: bool = True
     out_dir: str = "runs/default"
     cas_dir: str | None = None
     metrics_out: str | None = None
@@ -71,7 +71,6 @@ class RunConfig:
     dp: DpConfig = field(default_factory=DpConfig)
     trim: TrimConfig = field(default_factory=TrimConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
-    gas_overrides: dict | None = None
 
     def __post_init__(self) -> None:
         if self.num_peers < 1:
@@ -105,11 +104,8 @@ class RunConfig:
         for pid in self.byzantine_peers:
             if not 0 <= pid < self.num_peers:
                 raise ConfigurationError(f"byzantine peer {pid} out of range")
-
-    def gas_table(self) -> GasTable:
-        if not self.gas_overrides:
-            return GasTable()
-        return dataclasses.replace(GasTable(), **self.gas_overrides)
+        if not (math.isfinite(self.byzantine_scale) and self.byzantine_scale > 0):
+            raise ConfigurationError("byzantine_scale must be positive and finite")
 
     def resolve_out_dir(self) -> Path:
         return Path(self.out_dir)
@@ -130,26 +126,34 @@ def config_to_dict(cfg: RunConfig) -> dict:
     return out
 
 
-def config_from_dict(raw: dict) -> RunConfig:
-    data = dict(raw)
-    nested = {
-        "data": DataConfig,
-        "dp": DpConfig,
-        "trim": TrimConfig,
-        "train": TrainConfig,
-    }
-    kwargs: dict = {}
-    for key, value in data.items():
-        if key in nested:
-            kwargs[key] = nested[key](**value) if isinstance(value, dict) else value
-        elif key == "byzantine_peers":
-            kwargs[key] = tuple(value)
-        else:
-            kwargs[key] = value
-    known = {f.name for f in dataclasses.fields(RunConfig)}
-    unknown = set(kwargs) - known
+_NESTED = {"data": DataConfig, "dp": DpConfig, "trim": TrimConfig, "train": TrainConfig}
+
+
+def _check_keys(raw: dict, cls: type, where: str) -> None:
+    unknown = set(raw) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
-        raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
+        raise ConfigurationError(f"unknown {where} keys: {sorted(unknown)}")
+
+
+def config_from_dict(raw: dict) -> RunConfig:
+    """Build a RunConfig from parsed JSON, rejecting any malformed entry."""
+    _check_keys(raw, RunConfig, "config")
+    kwargs = dict(raw)
+    for key, cls in _NESTED.items():
+        if key not in kwargs:
+            continue
+        value = kwargs[key]
+        if not isinstance(value, dict):
+            raise ConfigurationError(f"config key {key!r} must hold an object")
+        _check_keys(value, cls, f"{key!r}")
+        kwargs[key] = cls(**value)
+    if "byzantine_peers" in kwargs:
+        peers = kwargs["byzantine_peers"]
+        if not isinstance(peers, list) or not all(
+            isinstance(p, int) and not isinstance(p, bool) for p in peers
+        ):
+            raise ConfigurationError("byzantine_peers must be a list of peer ids")
+        kwargs["byzantine_peers"] = tuple(peers)
     return RunConfig(**kwargs)
 
 

@@ -143,7 +143,6 @@ class PeerRecord:
     peer_id: int
     credential: str
     tokens: int
-    sequence: int
 
 
 class Ledger:
@@ -162,9 +161,10 @@ class Ledger:
         self.initial_tokens = initial_tokens
         self._blocks: list[LedgerBlock] = []
         self._pending: list[Transaction] = []
+        # insertion order is registration order; no peer is ever removed
         self._registry: dict[int, PeerRecord] = {}
         self._credentials: set[str] = set()
-        self._centroids: list[np.ndarray] | None = None
+        self._clustered = False
         self._segments: dict[int, SegmentSpec] = {}
         self._hash_records: list[dict] = []
         self._hash_keys: set[tuple[int, str]] = set()
@@ -209,12 +209,7 @@ class Ledger:
             raise LedgerError(f"peer {peer_id} already registered")
         if credential in self._credentials:
             raise LedgerError("credential already registered")
-        record = PeerRecord(
-            peer_id=peer_id,
-            credential=credential,
-            tokens=self.initial_tokens,
-            sequence=len(self._registry),
-        )
+        record = PeerRecord(peer_id=peer_id, credential=credential, tokens=self.initial_tokens)
         self._registry[peer_id] = record
         self._credentials.add(credential)
         self._record(
@@ -228,13 +223,13 @@ class Ledger:
         self._require_registered(caller)
         if not centroids:
             raise LedgerError("no centroids to save")
-        self._centroids = [np.asarray(c, dtype=np.float64).copy() for c in centroids]
-        payload = {"centroids": [[float(v) for v in c] for c in self._centroids]}
+        payload = {"centroids": [[float(v) for v in c] for c in centroids]}
         self._record(OP_SAVE_CENTERS, str(caller), payload)
+        self._clustered = True
 
     def assign_segment(self, peer_id: int, spec: SegmentSpec) -> None:
         self._require_registered(peer_id)
-        if self._centroids is None:
+        if not self._clustered:
             raise LedgerError("segments cannot be assigned before clustering")
         self._segments[peer_id] = spec
         self._record(
@@ -341,13 +336,14 @@ class Ledger:
         return self._require_registered(peer_id).tokens
 
     def registered_peers(self) -> list[int]:
-        return sorted(self._registry, key=lambda p: self._registry[p].sequence)
+        """Peer ids in registration order."""
+        return list(self._registry)
 
     # -- chain ---------------------------------------------------------------
 
     def elect_leader(self, tick: int) -> int:
         """Uniform choice over registered peers, derived from tip hash and tick."""
-        peers = sorted(self._registry, key=lambda p: self._registry[p].sequence)
+        peers = list(self._registry)
         if not peers:
             raise LedgerError("cannot elect a leader with no registered peers")
         tip = self._blocks[-1].block_hash() if self._blocks else GENESIS_HASH

@@ -88,16 +88,13 @@ class RunReport:
 def build_dataset(cfg: RunConfig) -> tuple[LabeledDataset, LabeledDataset]:
     """Train and held-out test splits from one generator draw."""
     data_cfg = cfg.data
-    if data_cfg.kind == "idx":
+    if data_cfg.idx_images is not None:
         train = load_idx_dataset(
             data_cfg.idx_images, data_cfg.idx_labels, data_cfg.num_classes
         )
-        if data_cfg.idx_test_images and data_cfg.idx_test_labels:
-            test = load_idx_dataset(
-                data_cfg.idx_test_images, data_cfg.idx_test_labels, data_cfg.num_classes
-            )
-        else:
-            raise ConfigurationError("idx datasets need test image and label paths")
+        test = load_idx_dataset(
+            data_cfg.idx_test_images, data_cfg.idx_test_labels, data_cfg.num_classes
+        )
         return train, test
     rng = np.random.default_rng(derive_seed(cfg.seed, "data"))
     per_class = data_cfg.samples_per_class + data_cfg.test_per_class
@@ -128,11 +125,8 @@ def build_dataset(cfg: RunConfig) -> tuple[LabeledDataset, LabeledDataset]:
 def run_phase1(cfg: RunConfig) -> Phase1Result:
     """Register, cluster, and segment; exactly one assignment pass."""
     store = BlockStore(cfg.resolve_cas_dir())
-    ledger = Ledger(cfg.gas_table(), cfg.initial_tokens)
-    keypair = paillier.keygen(
-        cfg.paillier_bits,
-        seed=derive_seed(cfg.seed, "paillier") if cfg.deterministic else None,
-    )
+    ledger = Ledger(initial_tokens=cfg.initial_tokens)
+    keypair = paillier.keygen(cfg.paillier_bits, seed=derive_seed(cfg.seed, "paillier"))
     ledger.deploy_contracts(
         {"paillier_n": str(keypair.public.n), "paillier_g": str(keypair.public.g)}
     )
@@ -148,10 +142,8 @@ def run_phase1(cfg: RunConfig) -> Phase1Result:
     distributions = {
         pid: label_distribution(shards[pid], train_data) for pid in range(cfg.num_peers)
     }
-    blinding = (
-        random.Random(derive_seed(cfg.seed, "blinding")) if cfg.deterministic else None
-    )
-    crypto = CryptoContext(keypair, cfg.fixed_point_scale, blinding)
+    blinding = random.Random(derive_seed(cfg.seed, "blinding"))
+    crypto = CryptoContext(keypair, rng=blinding)
     cluster_rng = np.random.default_rng(derive_seed(cfg.seed, "clustering"))
     assignment = one_shot_cluster(
         distributions,
@@ -247,8 +239,6 @@ def run_phase2(
             features=phase1.train_data.features[shard],
             labels=phase1.train_data.labels[shard],
             rng=np.random.default_rng(derive_seed(cfg.seed, f"peer{pid}")),
-            byzantine=pid in cfg.byzantine_peers,
-            batch_size=cfg.train.batch_size,
         )
 
     ctx = RunContext(
@@ -281,7 +271,7 @@ def run_phase2(
 
     def leader_tick(tick: int) -> None:
         leader_id = ledger.elect_leader(tick)
-        leader_duty(peers[leader_id], ctx, tick)
+        leader_duty(peers[leader_id], ctx)
         for pid in sorted(peers):
             peers[pid].maybe_sync(ctx)
 
@@ -293,7 +283,7 @@ def run_phase2(
         def wake(tick: int) -> None:
             peer = peers[pid]
             peer.maybe_sync(ctx)
-            peer.peer_iteration(ctx, tick)
+            peer.peer_iteration(ctx)
             acc, loss = trainer.evaluate(peer.params, test_x, test_y)
             rows.append(_metric_row(ctx, tick, peer, acc, loss))
             nxt = tick + int(

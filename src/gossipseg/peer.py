@@ -137,7 +137,7 @@ class RunContext:
             for pid, peer in self.peers.items()
         }
 
-    def flag_bad_update(self, consumer_id: int, sender: int, cid: Cid) -> None:
+    def flag_bad_update(self, sender: int, cid: Cid) -> None:
         """Quarantine a cid; the first detection carries the penalty."""
         if cid.hex in self.quarantined:
             return
@@ -175,8 +175,6 @@ class Peer:
     features: np.ndarray
     labels: np.ndarray
     rng: np.random.Generator
-    byzantine: bool = False
-    batch_size: int = 32
     synced_round: int = -1
     iteration: int = 0
     last_published: Cid | None = None
@@ -208,14 +206,14 @@ class Peer:
 
     # -- local work ----------------------------------------------------------
 
-    def _batch(self) -> tuple[np.ndarray, np.ndarray]:
-        size = min(self.batch_size, len(self.labels))
+    def _batch(self, batch_size: int) -> tuple[np.ndarray, np.ndarray]:
+        size = min(batch_size, len(self.labels))
         idx = self.rng.choice(len(self.labels), size=size, replace=False)
         return self.features[idx], self.labels[idx]
 
     def _local_steps(self, cfg: RunConfig) -> None:
         for _ in range(cfg.train.local_steps):
-            x, y = self._batch()
+            x, y = self._batch(cfg.train.batch_size)
             grad = trainer.gradient(self.params, x, y)
             grad = mask_to_segment(grad, self.segment)
             self.params = trainer.sgd_step(self.params, grad, cfg.train.learning_rate)
@@ -259,14 +257,14 @@ class Peer:
         try:
             content = ctx.store.get(cid)
         except IntegrityError:
-            ctx.flag_bad_update(self.peer_id, sender, cid)
+            ctx.flag_bad_update(sender, cid)
             return None
         except NotFoundError:
             return None
         # a successful get has re-hashed the canonical DAG, so the content's
         # digest is the cid itself
         if not ctx.ledger.validate_update(cid, cid, caller=str(self.peer_id)):
-            ctx.flag_bad_update(self.peer_id, sender, cid)
+            ctx.flag_bad_update(sender, cid)
             return None
         return content
 
@@ -285,7 +283,7 @@ class Peer:
         except SerializationError:
             update = None
         if update is None or update.delta.shapes != self.baseline.shapes:
-            ctx.flag_bad_update(self.peer_id, sender, cid)
+            ctx.flag_bad_update(sender, cid)
             return None
         if update.sender != sender or update.round_index != ctx.global_round:
             return None
@@ -306,13 +304,19 @@ class Peer:
 
     # -- one gossip iteration -------------------------------------------------
 
-    def peer_iteration(self, ctx: RunContext, tick: int) -> bool:
+    def peer_iteration(self, ctx: RunContext) -> bool:
         """Train, publish a privatized delta, pull neighbors, combine, apply.
 
-        Returns False when a ledger rejection aborted the iteration; peer
-        state is then left exactly as before the call.
+        Returns False when a ledger rejection aborted the iteration.  The
+        abort restores ``params``, ``iteration`` and ``last_published`` and
+        nothing else: the peer's RNG stays advanced, and whatever the
+        iteration did before the rejection remains.  That can be the block
+        written to the store, its queued ``save_hash``, ``validate_update``,
+        reward and penalize transactions, quarantined cids, consumed-log
+        entries and run counters.
         """
         cfg = ctx.cfg
+        byzantine = self.peer_id in cfg.byzantine_peers
         snapshot = (self.params.copy(), self.iteration, self.last_published)
         try:
             self._local_steps(cfg)
@@ -321,13 +325,13 @@ class Peer:
             delta = self.params.buf[owned] - self.baseline.buf[owned]
             own = (
                 self._hostile_delta(ctx, delta.size)
-                if self.byzantine
+                if byzantine
                 else self._privatize(ctx, delta)
             )
             _, own_loss = trainer.evaluate(
                 self.params, self.eval_features, self.eval_labels
             )
-            claimed = 0.0 if self.byzantine else own_loss
+            claimed = 0.0 if byzantine else own_loss
             published = self.params.with_buf(np.zeros_like(self.params.buf))
             published.buf[owned] = own
             payload = encode_update(
@@ -365,8 +369,7 @@ class Peer:
             self.params, self.iteration, self.last_published = snapshot
             ctx.aborted_iterations += 1
             return False
-        if cfg.audit:
-            self._audit_segment(ctx)
+        self._audit_segment(ctx)
         return True
 
     def _audit_segment(self, ctx: RunContext) -> None:
@@ -375,7 +378,7 @@ class Peer:
             ctx.segment_violations += 1
 
 
-def leader_duty(leader: Peer, ctx: RunContext, tick: int) -> Cid | None:
+def leader_duty(leader: Peer, ctx: RunContext) -> Cid | None:
     """Reconstruct the global model from the latest validated round updates.
 
     Per segment, the rows it owns are combined coordinate-wise over its

@@ -201,9 +201,7 @@ def test_criterion_05_gradient_check():
 
 
 def test_criterion_06_segment_discipline(tmp_path):
-    cfg = run_config(
-        tmp_path, "discipline", num_peers=4, duration_ticks=90, audit=True
-    )
+    cfg = run_config(tmp_path, "discipline", num_peers=4, duration_ticks=90)
     _, report_out, ctx = run_full(cfg)
     iterations = sum(p.iteration for p in ctx.peers.values())
     ok = report_out.segment_violations == 0 and iterations > 0
@@ -330,9 +328,7 @@ def test_criterion_09_byzantine_ab(tmp_path):
 def test_criterion_10_determinism(tmp_path):
     outputs = []
     for run in range(2):
-        cfg = run_config(
-            tmp_path, f"det-{run}", num_peers=4, duration_ticks=80, deterministic=True
-        )
+        cfg = run_config(tmp_path, f"det-{run}", num_peers=4, duration_ticks=80)
         _, rep, _ = run_full(cfg)
         out = cfg.resolve_out_dir()
         outputs.append(

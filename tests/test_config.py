@@ -20,7 +20,6 @@ from gossipseg.privacy import DpConfig
 def test_defaults_are_valid():
     cfg = RunConfig()
     assert cfg.num_peers == 8
-    assert cfg.gas_table().register == 100_340
 
 
 def test_roundtrip_through_dict():
@@ -32,11 +31,9 @@ def test_roundtrip_through_dict():
         dp=DpConfig(sigma_max=0.1, sigma_min=0.01, total_rounds=50),
         trim=TrimConfig(trim_ratio=0.25),
         data=DataConfig(num_classes=6, samples_per_class=10),
-        gas_overrides={"register": 5},
     )
     back = config_from_dict(config_to_dict(cfg))
     assert back == cfg
-    assert back.gas_table().register == 5
 
 
 def test_roundtrip_through_file(tmp_path):
@@ -66,10 +63,47 @@ def test_validation_failures():
         RunConfig(interval_min=5, interval_max=3)
     with pytest.raises(ConfigurationError):
         RunConfig(byzantine_peers=(8,))
+
+
+IDX_PATHS = dict(
+    idx_images="train-images", idx_labels="train-labels",
+    idx_test_images="test-images", idx_test_labels="test-labels",
+)
+
+
+@pytest.mark.parametrize("given", [
+    ("idx_images",),
+    ("idx_images", "idx_labels"),  # no test split
+    ("idx_labels", "idx_test_images", "idx_test_labels"),
+])
+def test_idx_paths_come_all_together(given):
     with pytest.raises(ConfigurationError):
-        DataConfig(kind="csv")
+        DataConfig(**{name: IDX_PATHS[name] for name in given})
+
+
+def test_idx_data_with_all_four_paths_is_valid():
+    cfg = RunConfig(data=DataConfig(**IDX_PATHS))
+    assert config_from_dict(config_to_dict(cfg)) == cfg
+
+
+@pytest.mark.parametrize("scale", [float("inf"), float("-inf"), float("nan"), 0.0, -5.0])
+def test_byzantine_scale_must_be_positive_and_finite(scale):
     with pytest.raises(ConfigurationError):
-        DataConfig(kind="idx")  # paths missing
+        RunConfig(byzantine_scale=scale)
+
+
+@pytest.mark.parametrize("raw", [
+    {"data": {"bogus": 1}},
+    {"data": {"kind": "blobs"}},  # a setting that no longer exists
+    {"dp": 5},
+    {"trim": [0.2]},
+    {"byzantine_peers": 3},
+    {"byzantine_peers": ["1"]},
+    {"byzantine_peers": [True]},
+])
+def test_malformed_config_rejected(raw):
+    with pytest.raises(ConfigurationError):
+        config_from_dict(raw)
 
 
 def test_trim_must_be_feasible_for_gossip_group():

@@ -1,13 +1,14 @@
 """Two-phase driver, artifact formats, and the command line."""
 
+import dataclasses
 import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from gossipseg.cli import main
-from gossipseg.config import DataConfig, RunConfig, load_config
+from gossipseg.cli import _RUN_FLAGS, _build_config, build_parser, main
+from gossipseg.config import DataConfig, RunConfig, load_config, save_config
 from gossipseg.orchestrator import (
     METRICS_HEADER,
     METRICS_VERSION_LINE,
@@ -275,3 +276,64 @@ def test_cli_rejects_bad_input(tmp_path, capsys):
     bad.write_text("hello\n")
     assert main(["gas-report", "--ledger", str(bad)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_rejects_malformed_config_file(tmp_path, capsys):
+    bad = tmp_path / "config.json"
+    bad.write_text(json.dumps({"data": {"bogus": 1}}))
+    assert main(["run", "--config", str(bad)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+FLAG_CASES = [
+    (["--peers", "3"], "num_peers", 3),
+    (["--clusters", "1"], "num_clusters", 1),
+    (["--beta", "0.25"], "beta", 0.25),
+    (["--seed", "7"], "seed", 7),
+    (["--ticks", "12"], "duration_ticks", 12),
+    (["--dp-clip", "2.5"], "dp.clip_norm", 2.5),
+    (["--dp-sigma-max", "0.5"], "dp.sigma_max", 0.5),
+    (["--dp-sigma-min", "0.001"], "dp.sigma_min", 0.001),
+    (["--trim-ratio", "0.0"], "trim.trim_ratio", 0.0),
+    (["--fanout", "3"], "fanout", 3),
+    (["--leader-period", "7"], "leader_period", 7),
+    (["--cluster-dp"], "cluster_dp", True),
+    (["--paillier-bits", "512"], "paillier_bits", 512),
+    (["--out-dir", "a/out"], "out_dir", "a/out"),
+    (["--cas-dir", "a/cas"], "cas_dir", "a/cas"),
+    (["--metrics-out", "a/m.csv"], "metrics_out", "a/m.csv"),
+    (["--ledger-out", "a/l.txt"], "ledger_out", "a/l.txt"),
+]
+
+
+@pytest.mark.parametrize("argv, field, expected", FLAG_CASES)
+def test_cli_flag_sets_its_field(argv, field, expected):
+    cfg = _build_config(build_parser().parse_args(["run", *argv]))
+    sub, _, name = field.rpartition(".")
+    want = RunConfig()
+    if sub:
+        want = dataclasses.replace(
+            want, **{sub: dataclasses.replace(getattr(want, sub), **{name: expected})}
+        )
+    else:
+        want = dataclasses.replace(want, **{name: expected})
+    assert cfg == want
+
+
+def test_every_run_flag_has_a_case():
+    assert {argv[0] for argv, _, _ in FLAG_CASES} == set(_RUN_FLAGS)
+
+
+@pytest.mark.parametrize("argv, fields", [
+    (["--peers", "1", "--clusters", "1"], {"num_peers": 1, "num_clusters": 1}),
+    (["--dp-sigma-max", "0.001", "--dp-sigma-min", "0.0001"],
+     {"dp": DpConfig(sigma_max=0.001, sigma_min=0.0001)}),
+])
+def test_cli_flags_apply_together(tmp_path, argv, fields):
+    cfg = _build_config(build_parser().parse_args(["run", *argv]))
+    assert cfg == dataclasses.replace(RunConfig(), **fields)
+    # flags also win over a config file
+    path = tmp_path / "config.json"
+    save_config(RunConfig(seed=3), path)
+    from_file = _build_config(build_parser().parse_args(["run", "--config", str(path), *argv]))
+    assert from_file == dataclasses.replace(RunConfig(seed=3), **fields)

@@ -31,7 +31,7 @@ from gossipseg.peer import (
     round_tag,
 )
 from gossipseg.privacy import DpConfig
-from gossipseg.trainer import init_params
+from gossipseg.trainer import TrainConfig, init_params
 
 
 def build_ctx(tmp_path, num_peers=2, num_clusters=2, fanout=1, trim_ratio=0.0,
@@ -45,9 +45,10 @@ def build_ctx(tmp_path, num_peers=2, num_clusters=2, fanout=1, trim_ratio=0.0,
         byzantine_peers=tuple(byzantine),
         penalty_loss_delta=tolerance,
         data=DataConfig(num_classes=4, samples_per_class=30, test_per_class=5, input_dim=4),
+        train=TrainConfig(batch_size=16),
         out_dir=str(tmp_path),
     )
-    ledger = Ledger(gas_table=cfg.gas_table(), initial_tokens=cfg.initial_tokens)
+    ledger = Ledger(initial_tokens=cfg.initial_tokens)
     ledger.deploy_contracts()
     for pid in range(num_peers):
         ledger.register(pid, f"cred-{pid}")
@@ -67,8 +68,6 @@ def build_ctx(tmp_path, num_peers=2, num_clusters=2, fanout=1, trim_ratio=0.0,
             features=data.features,
             labels=data.labels,
             rng=np.random.default_rng(100 + pid),
-            byzantine=pid in byzantine,
-            batch_size=16,
         )
     return RunContext(
         cfg=cfg,
@@ -152,7 +151,7 @@ def test_privatize_identity_inside_ball(tmp_path):
 def test_privatize_noise_confined_to_owned_coordinates(tmp_path):
     ctx = build_ctx(tmp_path, sigma=0.5, clip=1.0)
     peer = ctx.peers[0]
-    assert peer.peer_iteration(ctx, 0)
+    assert peer.peer_iteration(ctx)
     flat = decode_update(ctx.store.get(peer.last_published)).delta.buf
     coords = segment_coords(peer.params, peer.segment)
     assert not flat[coords.foreign].any()
@@ -184,7 +183,7 @@ def test_iteration_keeps_foreign_rows_bitwise(tmp_path):
     ctx = build_ctx(tmp_path, num_peers=4, num_clusters=2, fanout=2)
     for _ in range(3):
         for pid in range(4):
-            assert ctx.peers[pid].peer_iteration(ctx, tick=pid)
+            assert ctx.peers[pid].peer_iteration(ctx)
     assert ctx.segment_violations == 0
     for peer in ctx.peers.values():
         foreign = np.ones(peer.params.num_output_units, dtype=bool)
@@ -207,8 +206,8 @@ def test_iteration_keeps_foreign_rows_bitwise(tmp_path):
 
 def test_gossip_consumption_is_logged(tmp_path):
     ctx = build_ctx(tmp_path, num_peers=2, num_clusters=1, fanout=1)
-    assert ctx.peers[0].peer_iteration(ctx, 0)
-    assert ctx.peers[1].peer_iteration(ctx, 1)
+    assert ctx.peers[0].peer_iteration(ctx)
+    assert ctx.peers[1].peer_iteration(ctx)
     # peer 1 moved second, so peer 0's update was available to it
     consumers = {c for c, _, _ in ctx.consumed_log}
     assert 1 in consumers
@@ -219,7 +218,7 @@ def test_gossip_consumption_is_logged(tmp_path):
 def test_tampered_update_flagged_and_penalized_once(tmp_path):
     ctx = build_ctx(tmp_path, num_peers=2, num_clusters=1, fanout=1)
     sender, consumer = ctx.peers[0], ctx.peers[1]
-    assert sender.peer_iteration(ctx, 0)
+    assert sender.peer_iteration(ctx)
     cid = sender.last_published
     tamper(ctx.store, cid, -1, 0x01)
 
@@ -245,11 +244,11 @@ def test_unrecorded_cid_fails_validation(tmp_path):
 def test_quarantined_update_never_enters_aggregation(tmp_path):
     ctx = build_ctx(tmp_path, num_peers=2, num_clusters=1, fanout=1)
     sender, consumer = ctx.peers[0], ctx.peers[1]
-    assert sender.peer_iteration(ctx, 0)
+    assert sender.peer_iteration(ctx)
     cid = sender.last_published
     ctx.quarantined.add(cid.hex)
     consumed_before = len(ctx.consumed_log)
-    assert consumer.peer_iteration(ctx, 1)
+    assert consumer.peer_iteration(ctx)
     assert all(log_cid != cid.hex for _, _, log_cid in ctx.consumed_log[consumed_before:])
 
 
@@ -263,11 +262,60 @@ def test_ledger_rejection_rolls_back_peer_state(tmp_path, monkeypatch):
         raise LedgerError("synthetic rejection")
 
     monkeypatch.setattr(ctx.ledger, "save_hash", refuse)
-    assert peer.peer_iteration(ctx, 0) is False
+    assert peer.peer_iteration(ctx) is False
     assert same_params(peer.params, before_params)
     assert peer.iteration == before_iter
     assert peer.last_published is None
     assert ctx.aborted_iterations == 1
+
+
+def test_rejection_after_publish_restores_only_peer_fields(tmp_path, monkeypatch):
+    ctx = build_ctx(tmp_path, num_peers=2, num_clusters=1, fanout=1)
+    assert ctx.peers[0].peer_iteration(ctx)
+    peer = ctx.peers[1]
+    before_params = peer.params.copy()
+    before_rng = peer.rng.bit_generator.state
+
+    def refuse(*args, **kwargs):
+        raise LedgerError("synthetic rejection")
+
+    # peer 1 publishes, then pulls peer 0's update and is refused validation
+    monkeypatch.setattr(ctx.ledger, "validate_update", refuse)
+    assert peer.peer_iteration(ctx) is False
+    assert same_params(peer.params, before_params)
+    assert peer.iteration == 0
+    assert peer.last_published is None
+    assert ctx.aborted_iterations == 1
+    # what the iteration did before the rejection stays
+    records = ctx.ledger.hash_records(round_tag="r0", peers={1})
+    assert len(records) == 1
+    assert ctx.store.get(Cid(bytes.fromhex(records[0]["cid"])))
+    assert peer.rng.bit_generator.state != before_rng
+
+
+@pytest.mark.parametrize("failures, published", [(1, True), (2, False)])
+def test_publish_retries_a_store_failure_once(tmp_path, monkeypatch, failures, published):
+    ctx = build_ctx(tmp_path)
+    peer = ctx.peers[0]
+    real_put = ctx.store.put
+    attempts = []
+
+    def flaky_put(content):
+        attempts.append(content)
+        if len(attempts) <= failures:
+            raise OSError("synthetic write failure")
+        return real_put(content)
+
+    monkeypatch.setattr(ctx.store, "put", flaky_put)
+    assert peer.peer_iteration(ctx)
+    assert peer.iteration == 1
+    assert len(attempts) == 2
+    records = ctx.ledger.hash_records(round_tag="r0", peers={0})
+    if published:
+        assert [rec["cid"] for rec in records] == [peer.last_published.hex]
+    else:
+        assert records == []
+        assert peer.last_published is None
 
 
 def test_sync_failure_keeps_local_state(tmp_path):
@@ -295,11 +343,11 @@ def test_maybe_sync_skips_stale_rounds(tmp_path):
 
 def test_leader_duty_matches_manual_reconstruction(tmp_path):
     ctx = build_ctx(tmp_path, num_peers=2, num_clusters=2, fanout=0)
-    assert ctx.peers[0].peer_iteration(ctx, 0)
-    assert ctx.peers[1].peer_iteration(ctx, 1)
+    assert ctx.peers[0].peer_iteration(ctx)
+    assert ctx.peers[1].peer_iteration(ctx)
     base = ctx.global_params.copy()
 
-    new_cid = leader_duty(ctx.peers[0], ctx, tick=5)
+    new_cid = leader_duty(ctx.peers[0], ctx)
     assert new_cid is not None
     theta = params_from_bytes(ctx.store.get(new_cid))
 
@@ -336,9 +384,9 @@ def test_leader_duty_matches_manual_reconstruction(tmp_path):
 
 def test_leader_duty_carries_over_silent_segments(tmp_path):
     ctx = build_ctx(tmp_path, num_peers=2, num_clusters=2, fanout=0)
-    assert ctx.peers[0].peer_iteration(ctx, 0)  # only cluster 0 publishes
+    assert ctx.peers[0].peer_iteration(ctx)  # only cluster 0 publishes
     base = ctx.global_params.copy()
-    cid = leader_duty(ctx.peers[0], ctx, tick=3)
+    cid = leader_duty(ctx.peers[0], ctx)
     theta = params_from_bytes(ctx.store.get(cid))
     silent = ctx.segment_specs[1].rows()
     assert np.array_equal(theta.last_layer_weights[silent], base.last_layer_weights[silent])
@@ -349,13 +397,13 @@ def test_leader_duty_carries_over_silent_segments(tmp_path):
 def test_leader_duty_without_global_model_is_noop(tmp_path):
     ctx = build_ctx(tmp_path)
     ctx.global_params = None
-    assert leader_duty(ctx.peers[0], ctx, tick=0) is None
+    assert leader_duty(ctx.peers[0], ctx) is None
     assert ctx.global_round == 0
 
 
 def test_byzantine_peer_publishes_saturated_update(tmp_path):
     ctx = build_ctx(tmp_path, num_peers=2, num_clusters=1, fanout=1, byzantine=(0,))
-    assert ctx.peers[0].peer_iteration(ctx, 0)
+    assert ctx.peers[0].peer_iteration(ctx)
     update = decode_update(ctx.store.get(ctx.peers[0].last_published))
     flat = update.delta.buf
     coords = segment_coords(update.delta, ctx.peers[0].segment)
@@ -378,10 +426,10 @@ def test_cluster_mates_match_brute_force(tmp_path):
 def test_leader_duty_counts_trim_fallbacks(tmp_path, trim_ratio, fallbacks):
     # fanout 4 keeps the config valid; with one peer per cluster nobody pulls
     ctx = build_ctx(tmp_path, num_peers=2, num_clusters=2, fanout=4, trim_ratio=trim_ratio)
-    assert ctx.peers[0].peer_iteration(ctx, 0)
-    assert ctx.peers[1].peer_iteration(ctx, 1)
+    assert ctx.peers[0].peer_iteration(ctx)
+    assert ctx.peers[1].peer_iteration(ctx)
     assert ctx.trim_fallbacks == 0
-    assert leader_duty(ctx.peers[0], ctx, tick=5) is not None
+    assert leader_duty(ctx.peers[0], ctx) is not None
     # at 0.2 one update per segment and two for the lower layers are too few to
     # trim; a zero ratio asks for the plain mean, which is no fallback
     assert ctx.trim_fallbacks == fallbacks
@@ -409,7 +457,7 @@ def assert_flagged_once(ctx, cid):
 def test_peer_quarantines_update_of_foreign_geometry(tmp_path):
     ctx = build_ctx(tmp_path, num_peers=2, num_clusters=1, fanout=1)
     cid = publish_foreign_geometry(ctx, sender=0)
-    assert ctx.peers[1].peer_iteration(ctx, 1)
+    assert ctx.peers[1].peer_iteration(ctx)
     assert ctx.peers[1].iteration == 1
     assert_flagged_once(ctx, cid)
 
@@ -417,8 +465,8 @@ def test_peer_quarantines_update_of_foreign_geometry(tmp_path):
 def test_leader_quarantines_update_of_foreign_geometry(tmp_path):
     ctx = build_ctx(tmp_path, num_peers=2, num_clusters=2, fanout=0)
     cid = publish_foreign_geometry(ctx, sender=0)
-    assert ctx.peers[1].peer_iteration(ctx, 1)
-    new_cid = leader_duty(ctx.peers[1], ctx, tick=5)
+    assert ctx.peers[1].peer_iteration(ctx)
+    new_cid = leader_duty(ctx.peers[1], ctx)
     assert new_cid is not None and ctx.global_round == 1
     assert [(c, s) for c, s, _ in ctx.consumed_log] == [(1, 1)]
     assert ctx.segment_carryovers == 1  # cluster 0 had no usable update
@@ -428,10 +476,10 @@ def test_leader_quarantines_update_of_foreign_geometry(tmp_path):
 def test_single_pulled_update_too_few_to_trim_keeps_own_delta(tmp_path):
     # fanout 4 keeps the config valid; peer 1's only mate is peer 0
     ctx = build_ctx(tmp_path, num_peers=2, num_clusters=1, fanout=4, trim_ratio=0.2)
-    assert ctx.peers[0].peer_iteration(ctx, 0)
+    assert ctx.peers[0].peer_iteration(ctx)
     assert ctx.trim_fallbacks == 0  # a lone own delta is not a combine
     peer = ctx.peers[1]
-    assert peer.peer_iteration(ctx, 1)
+    assert peer.peer_iteration(ctx)
     assert [(c, s) for c, s, _ in ctx.consumed_log] == [(1, 0)]
     assert ctx.trim_fallbacks == 1
     own = decode_update(ctx.store.get(peer.last_published)).delta
@@ -486,7 +534,7 @@ def test_leader_duty_matches_full_buffer_reference(tmp_path, trim_ratio, cluster
         publish_dense_update(ctx, pid, seed=50 + pid)
     base = ctx.global_params.copy()
     expected = reference_leader(ctx, base)
-    cid = leader_duty(ctx.peers[0], ctx, tick=5)
+    cid = leader_duty(ctx.peers[0], ctx)
     assert ctx.store.get(cid) == canonical_bytes(expected)
     assert ctx.segment_carryovers == 0
 
@@ -509,7 +557,7 @@ def test_peer_iteration_matches_full_buffer_reference(tmp_path, trim_ratio, clus
 
     peer._collect = recording_collect
     baseline = peer.baseline.copy()
-    assert peer.peer_iteration(ctx, 1)
+    assert peer.peer_iteration(ctx)
     assert len(collected) == per_combine - 1
 
     own = decode_update(ctx.store.get(peer.last_published)).delta.buf
@@ -526,7 +574,7 @@ def test_leader_round_without_accepted_updates_returns_base(tmp_path):
     for pid in ctx.peers:
         ctx.quarantined.add(publish_dense_update(ctx, pid, seed=pid).hex)
     base = ctx.global_params.copy()
-    cid = leader_duty(ctx.peers[0], ctx, tick=5)
+    cid = leader_duty(ctx.peers[0], ctx)
     assert ctx.store.get(cid) == canonical_bytes(base)
     assert ctx.segment_carryovers == len(ctx.segment_specs) == 3
     assert ctx.consumed_log == [] and ctx.global_round == 1

@@ -6,14 +6,10 @@ import dataclasses
 import json
 import sys
 
-from .config import RunConfig, load_config
+from .config import RunConfig, load_config, read_input
 from .errors import GossipSegError
-from .orchestrator import (
-    gas_report_from_dump,
-    report_gas,
-    run_full,
-    run_phase1,
-)
+from .ledger import gas_report
+from .orchestrator import run_full, run_phase1, write_ledger
 
 
 # each run flag once: the RunConfig field it sets ("sub.field" for a nested
@@ -95,11 +91,11 @@ def _cmd_phase1(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     ledger_path = cfg.resolve_ledger_out()
     ledger_path.parent.mkdir(parents=True, exist_ok=True)
-    phase1.ledger.dump(ledger_path)
+    table = write_ledger(phase1.ledger, ledger_path, out_dir / "gas_report.txt")
     print(f"cluster assignment: {phase1.assignment.assignment}")
     for cluster_id, spec in sorted(phase1.segment_specs.items()):
         print(f"cluster {cluster_id}: rows [{spec.start}, {spec.end}]")
-    print(report_gas(phase1.ledger, out_dir / "gas_report.txt"), end="")
+    print(table, end="")
     print(f"total gas: {phase1.ledger.total_gas()}")
     return 0
 
@@ -133,7 +129,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
 
 def _cmd_gas_report(args: argparse.Namespace) -> int:
-    print(gas_report_from_dump(args.ledger), end="")
+    print(gas_report(read_input(args.ledger)), end="")
     return 0
 
 

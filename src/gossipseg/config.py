@@ -129,15 +129,28 @@ def config_to_dict(cfg: RunConfig) -> dict:
 _NESTED = {"data": DataConfig, "dp": DpConfig, "trim": TrimConfig, "train": TrainConfig}
 
 
-def _check_keys(raw: dict, cls: type, where: str) -> None:
-    unknown = set(raw) - {f.name for f in dataclasses.fields(cls)}
+# the JSON values a scalar field takes: a bool is not an int, an int is a float
+_JSON_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,), "str": (str,)}
+
+
+def _check_fields(raw: dict, cls: type, where: str) -> None:
+    """Reject unknown keys and scalar values of a type their field does not take."""
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    unknown = set(raw) - set(fields)
     if unknown:
         raise ConfigurationError(f"unknown {where} keys: {sorted(unknown)}")
+    for name, value in raw.items():
+        kind = fields[name].type.removesuffix(" | None")
+        accepted = _JSON_TYPES.get(kind)
+        if accepted is None or (value is None and fields[name].default is None):
+            continue
+        if isinstance(value, bool) != (kind == "bool") or not isinstance(value, accepted):
+            raise ConfigurationError(f"{where} key {name!r} must be {kind}, not {value!r}")
 
 
 def config_from_dict(raw: dict) -> RunConfig:
     """Build a RunConfig from parsed JSON, rejecting any malformed entry."""
-    _check_keys(raw, RunConfig, "config")
+    _check_fields(raw, RunConfig, "config")
     kwargs = dict(raw)
     for key, cls in _NESTED.items():
         if key not in kwargs:
@@ -145,7 +158,7 @@ def config_from_dict(raw: dict) -> RunConfig:
         value = kwargs[key]
         if not isinstance(value, dict):
             raise ConfigurationError(f"config key {key!r} must hold an object")
-        _check_keys(value, cls, f"{key!r}")
+        _check_fields(value, cls, f"{key!r}")
         kwargs[key] = cls(**value)
     if "byzantine_peers" in kwargs:
         peers = kwargs["byzantine_peers"]
@@ -164,9 +177,17 @@ def save_config(cfg: RunConfig, path: str | Path) -> None:
     )
 
 
+def read_input(path: str | Path) -> str:
+    """The text of an input file; an unreadable one is a rejected input."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"cannot read {path}: {exc}") from exc
+
+
 def load_config(path: str | Path) -> RunConfig:
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        raw = json.loads(read_input(path))
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):

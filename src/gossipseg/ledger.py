@@ -10,17 +10,18 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
+from collections.abc import Iterable
 from dataclasses import dataclass
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 
 from .cas import Cid
-from .errors import LedgerError
+from .errors import ConfigurationError, LedgerError
 from .model import SegmentSpec
 
 GENESIS_HASH = b"\x00" * 32
+DUMP_HEADER = "height\top\tcaller\tgas\tpayload_digest"
 
 OP_DEPLOY_REGISTRY = "deploy_contract_1"
 OP_DEPLOY_GOSSIP = "deploy_contract_2"
@@ -65,11 +66,6 @@ class GasTable:
     validate_update: int = 65_800
     penalize: int = 77_102
     reset_balance: int = 257_032
-
-    def __post_init__(self) -> None:
-        for name, value in vars(self).items():
-            if value <= 0:
-                raise LedgerError(f"gas cost {name} must be positive")
 
     def cost(self, op: str) -> int:
         # election and minting have no table entry and cost nothing
@@ -148,16 +144,17 @@ class PeerRecord:
 class Ledger:
     """Single-writer ledger.
 
-    The hash history is append-only, so ``save_hash`` keeps indexes of it
-    (recorded cids, records per round tag and per (tag, peer)) and ``_record``
-    keeps running gas sums: every read the gossip loop makes costs O(1) or
-    O(matching records), not O(history).
+    The hash history is the ``save_hash`` transactions.  Beside them the
+    ledger keeps only what its reads need: the recorded (tag, peer, cid)
+    triples for the replay rule, the recorded cids for ``validate_update``,
+    and each peer's latest cid per tag for ``hash_records``.  ``_record``
+    keeps running gas sums, so no read of the gossip loop scans the history.
     """
 
-    def __init__(self, gas_table: GasTable | None = None, initial_tokens: int = 1000):
+    def __init__(self, initial_tokens: int = 1000):
         if initial_tokens < 0:
             raise LedgerError("initial_tokens must be >= 0")
-        self.gas_table = gas_table or GasTable()
+        self.gas_table = GasTable()
         self.initial_tokens = initial_tokens
         self._blocks: list[LedgerBlock] = []
         self._pending: list[Transaction] = []
@@ -166,11 +163,9 @@ class Ledger:
         self._credentials: set[str] = set()
         self._clustered = False
         self._segments: dict[int, SegmentSpec] = {}
-        self._hash_records: list[dict] = []
-        self._hash_keys: set[tuple[int, str]] = set()
+        self._hash_triples: set[tuple[str, int, str]] = set()
         self._recorded_cids: set[str] = set()
-        self._records_by_tag: dict[str, list[dict]] = {}
-        self._records_by_tag_peer: dict[tuple[str, int], list[dict]] = {}
+        self._latest_cids: dict[str, dict[int, Cid]] = {}
         self._sealed_gas = 0
         self._pending_gas = 0
         self._deployed = False
@@ -255,41 +250,30 @@ class Ledger:
     def save_hash(self, peer_id: int, cid: Cid, round_tag: str) -> None:
         self._require_registered(peer_id)
         cid_hex = cid.hex
-        same_round = self._records_by_tag_peer.get((round_tag, peer_id), ())
-        if any(rec["cid"] == cid_hex for rec in same_round):
+        if self.has_hash_record(peer_id, cid, round_tag):
             raise LedgerError(
                 f"peer {peer_id} already recorded cid {cid_hex[:12]} under {round_tag}"
             )
-        self._hash_keys.add((peer_id, cid_hex))
+        self._hash_triples.add((round_tag, peer_id, cid_hex))
         self._recorded_cids.add(cid_hex)
-        rec = {"peer": peer_id, "cid": cid_hex, "tag": round_tag, "seq": len(self._hash_records)}
-        self._hash_records.append(rec)
-        self._records_by_tag.setdefault(round_tag, []).append(rec)
-        self._records_by_tag_peer.setdefault((round_tag, peer_id), []).append(rec)
+        self._latest_cids.setdefault(round_tag, {})[peer_id] = cid
         self._record(OP_SAVE_HASH, str(peer_id), {"cid": cid_hex, "tag": round_tag})
 
-    def has_hash_record(self, peer_id: int, cid: Cid) -> bool:
-        return (peer_id, cid.hex) in self._hash_keys
+    def has_hash_record(self, peer_id: int, cid: Cid, round_tag: str) -> bool:
+        """Whether ``save_hash`` would reject this record as a replay."""
+        return (round_tag, peer_id, cid.hex) in self._hash_triples
 
     def hash_records(
-        self,
-        round_tag: str | None = None,
-        peers: set[int] | None = None,
-    ) -> list[dict]:
-        """Off-chain read of recorded hashes, in recording order."""
-        if round_tag is None:
-            recs = self._hash_records
-            if peers is not None:
-                recs = [rec for rec in recs if rec["peer"] in peers]
-        elif peers is None:
-            recs = self._records_by_tag.get(round_tag, [])
-        else:
-            by_peer = self._records_by_tag_peer
-            recs = sorted(
-                (rec for p in peers for rec in by_peer.get((round_tag, p), ())),
-                key=itemgetter("seq"),
-            )
-        return [dict(rec) for rec in recs]
+        self, round_tag: str, peers: Iterable[int] | None = None
+    ) -> dict[int, Cid]:
+        """Off-chain read: each peer's latest cid recorded under ``round_tag``.
+
+        With ``peers``, only those of them that recorded one.
+        """
+        latest = self._latest_cids.get(round_tag, {})
+        if peers is None:
+            return dict(latest)
+        return {p: latest[p] for p in peers if p in latest}
 
     def validate_update(self, cid: Cid, content_digest: Cid, caller: str = "system") -> bool:
         """Charged check that a fetched update matches some recorded hash."""
@@ -399,19 +383,9 @@ class Ledger:
             prev = block.block_hash()
         return True
 
-    def gas_summary(self) -> dict[str, dict[str, int]]:
-        """Per-operation transaction counts and gas totals over sealed blocks."""
-        summary: dict[str, dict[str, int]] = {}
-        for block in self._blocks:
-            for tx in block.transactions:
-                row = summary.setdefault(tx.op, {"count": 0, "unit_gas": tx.gas, "gas": 0})
-                row["count"] += 1
-                row["gas"] += tx.gas
-        return summary
-
     def dump_text(self) -> str:
         """One tab-separated record per sealed transaction."""
-        lines = ["height\top\tcaller\tgas\tpayload_digest"]
+        lines = [DUMP_HEADER]
         for block in self._blocks:
             for tx in block.transactions:
                 payload_digest = hashlib.sha256(
@@ -422,5 +396,33 @@ class Ledger:
                 )
         return "\n".join(lines) + "\n"
 
-    def dump(self, path: str | Path) -> None:
-        Path(path).write_text(self.dump_text(), encoding="utf-8")
+    def dump(self, path: str | Path) -> str:
+        """Write :meth:`dump_text` to ``path`` and return it."""
+        text = self.dump_text()
+        Path(path).write_text(text, encoding="utf-8")
+        return text
+
+
+def gas_report(dump: str) -> str:
+    """Per-operation transaction counts and gas totals of a ledger dump."""
+    lines = dump.splitlines()
+    if not lines or lines[0] != DUMP_HEADER:
+        raise ConfigurationError("not a ledger dump file")
+    rows: dict[str, list[int]] = {}  # op -> [count, unit gas, total gas]
+    for line in lines[1:]:
+        if not line.strip():
+            continue
+        parts = line.split("\t")
+        if len(parts) != 5 or not parts[3].isdecimal():
+            raise ConfigurationError(f"malformed dump line: {line!r}")
+        op, gas = parts[1], int(parts[3])
+        row = rows.setdefault(op, [0, gas, 0])
+        row[0] += 1
+        row[2] += gas
+    table = [f"{'operation':<22}{'count':>8}{'unit_gas':>12}{'total_gas':>14}"]
+    for op in sorted(rows):
+        count, unit_gas, total = rows[op]
+        table.append(f"{op:<22}{count:>8}{unit_gas:>12}{total:>14}")
+    grand_total = sum(row[2] for row in rows.values())
+    table.append(f"{'TOTAL':<22}{'':>8}{'':>12}{grand_total:>14}")
+    return "\n".join(table) + "\n"

@@ -21,14 +21,12 @@ from .clustering import ClusterAssignment, CryptoContext, one_shot_cluster
 from .config import RunConfig, save_config
 from .datasets import (
     LabeledDataset,
-    LabelDistribution,
     dirichlet_partition,
     label_distribution,
     load_idx_dataset,
     synthetic_blobs,
 )
-from .errors import ConfigurationError
-from .ledger import Ledger
+from .ledger import Ledger, gas_report
 from .model import SegmentSpec, canonical_bytes, segment_boundaries
 from .peer import Peer, RunContext, global_tag, leader_duty
 from .scheduler import Scheduler
@@ -45,16 +43,13 @@ def derive_seed(base: int, label: str) -> int:
 
 @dataclass
 class Phase1Result:
-    cfg: RunConfig
     ledger: Ledger
     store: BlockStore
-    keypair: paillier.PaillierKeyPair
     assignment: ClusterAssignment
     segment_specs: dict[int, SegmentSpec]
     train_data: LabeledDataset
     test_data: LabeledDataset
     shards: list[np.ndarray]
-    distributions: dict[int, LabelDistribution]
 
 
 @dataclass
@@ -164,16 +159,13 @@ def run_phase1(cfg: RunConfig) -> Phase1Result:
         ledger.get_segment(pid)
     ledger.seal_block(tick=0)
     return Phase1Result(
-        cfg=cfg,
         ledger=ledger,
         store=store,
-        keypair=keypair,
         assignment=assignment,
         segment_specs=specs,
         train_data=train_data,
         test_data=test_data,
         shards=shards,
-        distributions=distributions,
     )
 
 
@@ -327,11 +319,10 @@ def run_phase2(
     config_path = out_dir / "config.json"
 
     _write_metrics(rows, metrics_path)
-    ledger.dump(ledger_path)
+    write_ledger(ledger, ledger_path, gas_path)
     model_path.write_bytes(
         canonical_bytes(ctx.global_params) if ctx.global_params else b""
     )
-    report_gas(ledger, gas_path)
     save_config(cfg, config_path)
 
     report = RunReport(
@@ -379,41 +370,13 @@ def run_full(
     return phase1, report, ctx
 
 
-def _render_gas_table(summary: dict[str, dict[str, int]]) -> str:
-    lines = [f"{'operation':<22}{'count':>8}{'unit_gas':>12}{'total_gas':>14}"]
-    total = 0
-    for op in sorted(summary):
-        row = summary[op]
-        lines.append(
-            f"{op:<22}{row['count']:>8}{row['unit_gas']:>12}{row['gas']:>14}"
-        )
-        total += row["gas"]
-    lines.append(f"{'TOTAL':<22}{'':>8}{'':>12}{total:>14}")
-    return "\n".join(lines) + "\n"
+def report_gas(ledger: Ledger) -> str:
+    """Per-operation counts and gas totals over sealed blocks."""
+    return gas_report(ledger.dump_text())
 
 
-def report_gas(ledger: Ledger, path: str | Path | None = None) -> str:
-    """Render per-operation counts and gas totals over sealed blocks."""
-    text = _render_gas_table(ledger.gas_summary())
-    if path is not None:
-        Path(path).write_text(text, encoding="utf-8")
-    return text
-
-
-def gas_report_from_dump(path: str | Path) -> str:
-    """Aggregate a ledger dump file into the same table as :func:`report_gas`."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != "height\top\tcaller\tgas\tpayload_digest":
-        raise ConfigurationError("not a ledger dump file")
-    summary: dict[str, dict[str, int]] = {}
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) != 5:
-            raise ConfigurationError(f"malformed dump line: {line!r}")
-        op, gas = parts[1], int(parts[3])
-        row = summary.setdefault(op, {"count": 0, "unit_gas": gas, "gas": 0})
-        row["count"] += 1
-        row["gas"] += gas
-    return _render_gas_table(summary)
+def write_ledger(ledger: Ledger, ledger_path: Path, gas_path: Path) -> str:
+    """Write the ledger dump and the gas table of that one dump; return the table."""
+    table = gas_report(ledger.dump(ledger_path))
+    gas_path.write_text(table, encoding="utf-8")
+    return table

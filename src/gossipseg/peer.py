@@ -244,8 +244,9 @@ class Peer:
                 cid = ctx.store.put(payload)
             except OSError:
                 return None
-        if not ctx.ledger.has_hash_record(self.peer_id, cid):
-            ctx.ledger.save_hash(self.peer_id, cid, round_tag(ctx.global_round))
+        tag = round_tag(ctx.global_round)
+        if not ctx.ledger.has_hash_record(self.peer_id, cid, tag):
+            ctx.ledger.save_hash(self.peer_id, cid, tag)
         if ctx.fault_hook is not None:
             ctx.fault_hook(self.peer_id, cid, self.iteration)
         self.last_published = cid
@@ -268,13 +269,12 @@ class Peer:
             return None
         return content
 
-    def _pull(self, ctx: RunContext, sender: int, cid_hex: str) -> UpdatePayload | None:
+    def _pull(self, ctx: RunContext, sender: int, cid: Cid) -> UpdatePayload | None:
         """Fetch, validate and decode one round update.
 
         An update that does not decode to this peer's geometry is flagged
         like a tampered one; only an accepted update is logged as consumed.
         """
-        cid = Cid(bytes.fromhex(cid_hex))
         content = self._fetch_validated(ctx, sender, cid)
         if content is None:
             return None
@@ -297,8 +297,7 @@ class Peer:
             return []
         k = min(cfg.fanout, len(mates))
         chosen = set(int(p) for p in self.rng.choice(mates, size=k, replace=False))
-        records = ctx.ledger.hash_records(round_tag=round_tag(ctx.global_round), peers=chosen)
-        latest = {rec["peer"]: rec["cid"] for rec in records}
+        latest = ctx.ledger.hash_records(round_tag=round_tag(ctx.global_round), peers=chosen)
         pulled = [self._pull(ctx, s, latest[s]) for s in sorted(latest)]
         return [update for update in pulled if update is not None]
 
@@ -390,8 +389,7 @@ def leader_duty(leader: Peer, ctx: RunContext) -> Cid | None:
     base = ctx.global_params
     if base is None:
         return None
-    records = ctx.ledger.hash_records(round_tag=round_tag(ctx.global_round))
-    latest = {rec["peer"]: rec["cid"] for rec in records if rec["peer"] in ctx.peers}
+    latest = ctx.ledger.hash_records(round_tag=round_tag(ctx.global_round), peers=ctx.peers)
     by_cluster: dict[int, list[np.ndarray]] = {}
     all_flats: list[np.ndarray] = []
     for sender in sorted(latest):

@@ -100,10 +100,30 @@ def test_byzantine_scale_must_be_positive_and_finite(scale):
     {"byzantine_peers": 3},
     {"byzantine_peers": ["1"]},
     {"byzantine_peers": [True]},
+    # scalar values of a type their field does not take
+    {"num_peers": "8"},
+    {"num_peers": 4.5},
+    {"seed": True},
+    {"seed": None},
+    {"beta": "0.5"},
+    {"cluster_dp": 1},
+    {"out_dir": None},
+    {"cas_dir": 5},
+    {"data": {"num_classes": 4.0}},
+    {"data": {"spread": "0.6"}},
+    {"dp": {"sigma_max": None}},
+    {"train": {"batch_size": "32"}},
 ])
 def test_malformed_config_rejected(raw):
     with pytest.raises(ConfigurationError):
         config_from_dict(raw)
+
+
+def test_int_for_float_and_null_for_optional_accepted():
+    raw = {"beta": 1, "cas_dir": None, "data": {"spread": 1, "idx_images": None}}
+    cfg = config_from_dict(raw)
+    assert cfg.beta == 1 and cfg.cas_dir is None
+    assert cfg.data.spread == 1 and cfg.data.idx_images is None
 
 
 def test_trim_must_be_feasible_for_gossip_group():

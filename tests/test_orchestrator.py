@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from gossipseg.orchestrator import (
     METRICS_VERSION_LINE,
     build_dataset,
     derive_seed,
-    gas_report_from_dump,
     report_gas,
     run_full,
     run_phase1,
@@ -90,13 +90,13 @@ def test_phase1_gas_total_matches_dump_aggregation(tmp_path):
     cfg = tiny_config(tmp_path)
     phase1 = run_phase1(cfg)
     dump_path = tmp_path / "ledger.txt"
-    phase1.ledger.dump(dump_path)
+    assert phase1.ledger.dump(dump_path) == dump_path.read_text()
     # loop oracle over the dump text
     total = 0
     for line in dump_path.read_text().splitlines()[1:]:
         total += int(line.split("\t")[3])
     assert total == phase1.ledger.total_gas()
-    assert gas_report_from_dump(dump_path) == report_gas(phase1.ledger)
+    assert report_gas(phase1.ledger).splitlines()[-1].split() == ["TOTAL", str(total)]
 
 
 def test_full_run_report_and_artifacts(tmp_path):
@@ -156,11 +156,16 @@ def test_every_global_round_has_one_hash_record(tmp_path):
     )
     _, report, ctx = run_full(cfg)
     assert report.global_rounds == 60
-    for round_index in range(report.global_rounds + 1):
-        assert len(ctx.ledger.hash_records(round_tag=f"g{round_index}")) == 1
-    records = ctx.ledger.hash_records()
-    assert sum(r["tag"].startswith("g") for r in records) == report.global_rounds + 1
-    assert len({(r["peer"], r["cid"]) for r in records if r["tag"].startswith("g")}) < 61
+    # the audit record: the save_hash transactions of the sealed blocks
+    global_records = [
+        tx
+        for block in ctx.ledger.blocks
+        for tx in block.transactions
+        if tx.op == "save_hash" and tx.payload["tag"].startswith("g")
+    ]
+    per_tag = Counter(tx.payload["tag"] for tx in global_records)
+    assert per_tag == {f"g{r}": 1 for r in range(report.global_rounds + 1)}
+    assert len({(tx.caller, tx.payload["cid"]) for tx in global_records}) < 61
 
 
 def test_metrics_file_format(tmp_path):
@@ -271,18 +276,45 @@ def test_cli_gas_report(tmp_path, capsys):
     assert str(phase1.ledger.total_gas()) in stdout
 
 
+def test_cli_phase1_gas_report_matches_gas_report_command(tmp_path, capsys):
+    out = tmp_path / "cli-p1"
+    assert main([
+        "phase1", "--peers", "4", "--clusters", "2",
+        "--paillier-bits", "512", "--out-dir", str(out),
+    ]) == 0
+    capsys.readouterr()
+    assert main(["gas-report", "--ledger", str(out / "ledger.txt")]) == 0
+    assert capsys.readouterr().out.encode() == (out / "gas_report.txt").read_bytes()
+
+
 def test_cli_rejects_bad_input(tmp_path, capsys):
-    bad = tmp_path / "not-a-dump.txt"
-    bad.write_text("hello\n")
-    assert main(["gas-report", "--ledger", str(bad)]) == 2
-    assert "error:" in capsys.readouterr().err
+    dump = "height\top\tcaller\tgas\tpayload_digest\n"
+    inputs = {
+        "not-a-dump.txt": "hello\n",
+        "gas-not-an-integer.txt": dump + "0\tregister\t1\t1e5\t" + "0" * 64 + "\n",
+        "short-line.txt": dump + "0\tregister\t1\n",
+        "missing.txt": None,
+    }
+    for name, text in inputs.items():
+        path = tmp_path / name
+        if text is not None:
+            path.write_text(text)
+        assert main(["gas-report", "--ledger", str(path)]) == 2, name
+        assert "error:" in capsys.readouterr().err
 
 
 def test_cli_rejects_malformed_config_file(tmp_path, capsys):
     bad = tmp_path / "config.json"
     bad.write_text(json.dumps({"data": {"bogus": 1}}))
-    assert main(["run", "--config", str(bad)]) == 2
-    assert "error:" in capsys.readouterr().err
+    missing = str(tmp_path / "missing.json")
+    for argv in (
+        ["run", "--config", str(bad)],
+        ["run", "--config", missing],
+        ["phase1", "--config", missing],
+        ["replay", "--config", missing],
+    ):
+        assert main(argv) == 2, argv
+        assert "error:" in capsys.readouterr().err
 
 
 FLAG_CASES = [

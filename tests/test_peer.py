@@ -173,9 +173,8 @@ def test_publish_records_hash_once(tmp_path):
     cid1 = peer._publish(ctx, payload)
     cid2 = peer._publish(ctx, payload)  # same bytes: dedup, no replay error
     assert cid1 == cid2
-    records = ctx.ledger.hash_records(round_tag="r0", peers={0})
-    assert len(records) == 1
-    assert records[0]["cid"] == cid1.hex
+    assert ctx.ledger.hash_records(round_tag="r0", peers={0}) == {0: cid1}
+    assert ctx.ledger.has_hash_record(0, cid1, "r0")
     assert peer.last_published == cid1
 
 
@@ -289,7 +288,7 @@ def test_rejection_after_publish_restores_only_peer_fields(tmp_path, monkeypatch
     # what the iteration did before the rejection stays
     records = ctx.ledger.hash_records(round_tag="r0", peers={1})
     assert len(records) == 1
-    assert ctx.store.get(Cid(bytes.fromhex(records[0]["cid"])))
+    assert ctx.store.get(records[1])
     assert peer.rng.bit_generator.state != before_rng
 
 
@@ -312,9 +311,9 @@ def test_publish_retries_a_store_failure_once(tmp_path, monkeypatch, failures, p
     assert len(attempts) == 2
     records = ctx.ledger.hash_records(round_tag="r0", peers={0})
     if published:
-        assert [rec["cid"] for rec in records] == [peer.last_published.hex]
+        assert records == {0: peer.last_published}
     else:
-        assert records == []
+        assert records == {}
         assert peer.last_published is None
 
 
@@ -354,8 +353,8 @@ def test_leader_duty_matches_manual_reconstruction(tmp_path):
     # oracle: replay the combination from the published wire bytes
     deltas = {}
     flats = []
-    for rec in ctx.ledger.hash_records(round_tag="r0"):
-        update = decode_update(ctx.store.get(Cid(bytes.fromhex(rec["cid"]))))
+    for cid in ctx.ledger.hash_records(round_tag="r0").values():
+        update = decode_update(ctx.store.get(cid))
         spec = ctx.segment_specs[ctx.peers[update.sender].cluster_id]
         masked = mask_to_segment(update.delta, spec)
         deltas[update.sender] = masked
@@ -378,8 +377,7 @@ def test_leader_duty_matches_manual_reconstruction(tmp_path):
 
     assert ctx.global_round == 1
     assert ctx.global_cid == new_cid
-    tagged = ctx.ledger.hash_records(round_tag="g1")
-    assert [r["cid"] for r in tagged] == [new_cid.hex]
+    assert ctx.ledger.hash_records(round_tag="g1") == {0: new_cid}
 
 
 def test_leader_duty_carries_over_silent_segments(tmp_path):
@@ -500,10 +498,10 @@ def reference_combine(flats, trim_ratio, fallback=None):
 def reference_leader(ctx, base):
     """Mask every update to its segment, combine whole buffers, mask again, add."""
     trim_ratio = ctx.cfg.trim.trim_ratio
-    latest = {rec["peer"]: rec["cid"] for rec in ctx.ledger.hash_records(round_tag="r0")}
+    latest = ctx.ledger.hash_records(round_tag="r0")
     by_cluster, all_flats = {}, []
     for sender in sorted(latest):
-        update = decode_update(ctx.store.get(Cid(bytes.fromhex(latest[sender]))))
+        update = decode_update(ctx.store.get(latest[sender]))
         cluster_id = ctx.peers[sender].cluster_id
         masked = mask_to_segment(update.delta, ctx.segment_specs[cluster_id]).buf
         by_cluster.setdefault(cluster_id, []).append(masked)

@@ -24,7 +24,6 @@ from .model import (
 from .orchestrator import (
     Phase1Result,
     RunReport,
-    report_gas,
     run_full,
     run_phase1,
     run_phase2,

@@ -93,8 +93,8 @@ def _cmd_phase1(args: argparse.Namespace) -> int:
     ledger_path.parent.mkdir(parents=True, exist_ok=True)
     table = write_ledger(phase1.ledger, ledger_path, out_dir / "gas_report.txt")
     print(f"cluster assignment: {phase1.assignment.assignment}")
-    for cluster_id, spec in sorted(phase1.segment_specs.items()):
-        print(f"cluster {cluster_id}: rows [{spec.start}, {spec.end}]")
+    for spec in sorted(set(phase1.segments.values()), key=lambda s: s.cluster_id):
+        print(f"cluster {spec.cluster_id}: rows [{spec.start}, {spec.end}]")
     print(table, end="")
     print(f"total gas: {phase1.ledger.total_gas()}")
     return 0

@@ -319,10 +319,6 @@ class Ledger:
     def balance(self, peer_id: int) -> int:
         return self._require_registered(peer_id).tokens
 
-    def registered_peers(self) -> list[int]:
-        """Peer ids in registration order."""
-        return list(self._registry)
-
     # -- chain ---------------------------------------------------------------
 
     def elect_leader(self, tick: int) -> int:

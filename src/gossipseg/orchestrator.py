@@ -26,6 +26,7 @@ from .datasets import (
     load_idx_dataset,
     synthetic_blobs,
 )
+from .errors import ConfigurationError
 from .ledger import Ledger, gas_report
 from .model import SegmentSpec, canonical_bytes, segment_boundaries
 from .peer import Peer, RunContext, global_tag, leader_duty
@@ -46,7 +47,8 @@ class Phase1Result:
     ledger: Ledger
     store: BlockStore
     assignment: ClusterAssignment
-    segment_specs: dict[int, SegmentSpec]
+    # each peer's segment as the ledger's get_segment returned it
+    segments: dict[int, SegmentSpec]
     train_data: LabeledDataset
     test_data: LabeledDataset
     shards: list[np.ndarray]
@@ -90,6 +92,12 @@ def build_dataset(cfg: RunConfig) -> tuple[LabeledDataset, LabeledDataset]:
         test = load_idx_dataset(
             data_cfg.idx_test_images, data_cfg.idx_test_labels, data_cfg.num_classes
         )
+        # the model's input width is the training set's
+        if test.features.shape[1] != train.features.shape[1]:
+            raise ConfigurationError(
+                f"idx test images have {test.features.shape[1]} features per sample, "
+                f"the training images {train.features.shape[1]}"
+            )
         return train, test
     rng = np.random.default_rng(derive_seed(cfg.seed, "data"))
     per_class = data_cfg.samples_per_class + data_cfg.test_per_class
@@ -118,14 +126,21 @@ def build_dataset(cfg: RunConfig) -> tuple[LabeledDataset, LabeledDataset]:
 
 
 def run_phase1(cfg: RunConfig) -> Phase1Result:
-    """Register, cluster, and segment; exactly one assignment pass."""
+    """Register, cluster, and segment; exactly one assignment pass.
+
+    The output files and the data are checked first, so a rejected config
+    costs no key generation and leaves nothing on disk.
+    """
+    for path in (cfg.resolve_metrics_out(), cfg.resolve_ledger_out()):
+        if path.is_dir():
+            raise ConfigurationError(f"output file {path} is a directory")
+    train_data, test_data = build_dataset(cfg)
     store = BlockStore(cfg.resolve_cas_dir())
     ledger = Ledger(initial_tokens=cfg.initial_tokens)
     keypair = paillier.keygen(cfg.paillier_bits, seed=derive_seed(cfg.seed, "paillier"))
     ledger.deploy_contracts(
         {"paillier_n": str(keypair.public.n), "paillier_g": str(keypair.public.g)}
     )
-    train_data, test_data = build_dataset(cfg)
     shards = dirichlet_partition(
         train_data, cfg.num_peers, cfg.beta, derive_seed(cfg.seed, "partition")
     )
@@ -155,14 +170,13 @@ def run_phase1(cfg: RunConfig) -> Phase1Result:
     }
     for pid in range(cfg.num_peers):
         ledger.assign_segment(pid, specs[assignment.assignment[pid]])
-    for pid in range(cfg.num_peers):
-        ledger.get_segment(pid)
+    segments = {pid: ledger.get_segment(pid) for pid in range(cfg.num_peers)}
     ledger.seal_block(tick=0)
     return Phase1Result(
         ledger=ledger,
         store=store,
         assignment=assignment,
-        segment_specs=specs,
+        segments=segments,
         train_data=train_data,
         test_data=test_data,
         shards=shards,
@@ -171,27 +185,13 @@ def run_phase1(cfg: RunConfig) -> Phase1Result:
 
 def _metric_row(
     ctx: RunContext, tick: int, peer: Peer, accuracy: float, loss: float
-) -> dict:
-    return {
-        "tick": tick,
-        "peer_id": peer.peer_id,
-        "cluster_id": peer.cluster_id,
-        "iteration": peer.iteration,
-        "loss": loss,
-        "accuracy": accuracy,
-        "tokens": ctx.ledger.balance(peer.peer_id),
-        "cumulative_gas": ctx.ledger.cumulative_gas(),
-    }
-
-
-def _write_metrics(rows: list[dict], path: Path) -> None:
-    lines = [METRICS_VERSION_LINE, METRICS_HEADER]
-    for row in rows:
-        lines.append(
-            f"{row['tick']},{row['peer_id']},{row['cluster_id']},{row['iteration']},"
-            f"{row['loss']!r},{row['accuracy']!r},{row['tokens']},{row['cumulative_gas']}"
-        )
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+) -> str:
+    """One metrics.csv line, in ``METRICS_HEADER`` order."""
+    return (
+        f"{tick},{peer.peer_id},{peer.segment.cluster_id},{peer.iteration},"
+        f"{loss!r},{accuracy!r},{ctx.ledger.balance(peer.peer_id)},"
+        f"{ctx.ledger.cumulative_gas()}"
+    )
 
 
 def _file_digest(path: Path) -> str:
@@ -221,11 +221,9 @@ def run_phase2(
     peers: dict[int, Peer] = {}
     for pid in range(cfg.num_peers):
         shard = phase1.shards[pid]
-        cluster_id = phase1.assignment.assignment[pid]
         peers[pid] = Peer(
             peer_id=pid,
-            cluster_id=cluster_id,
-            segment=phase1.segment_specs[cluster_id],
+            segment=phase1.segments[pid],
             params=initial_params.copy(),
             baseline=initial_params.copy(),
             features=phase1.train_data.features[shard],
@@ -237,7 +235,6 @@ def run_phase2(
         cfg=cfg,
         ledger=ledger,
         store=store,
-        segment_specs=phase1.segment_specs,
         peers=peers,
         fault_hook=fault_hook,
     )
@@ -252,7 +249,7 @@ def run_phase2(
     for pid in sorted(peers):
         peers[pid].sync_global(ctx)
 
-    rows: list[dict] = []
+    rows = [METRICS_VERSION_LINE, METRICS_HEADER]
     initial_accuracy: dict[int, float] = {}
     for pid in sorted(peers):
         acc, loss = trainer.evaluate(peers[pid].params, test_x, test_y)
@@ -318,7 +315,7 @@ def run_phase2(
     gas_path = out_dir / "gas_report.txt"
     config_path = out_dir / "config.json"
 
-    _write_metrics(rows, metrics_path)
+    metrics_path.write_text("\n".join(rows) + "\n", encoding="utf-8")
     write_ledger(ledger, ledger_path, gas_path)
     model_path.write_bytes(
         canonical_bytes(ctx.global_params) if ctx.global_params else b""
@@ -368,11 +365,6 @@ def run_full(
     phase1 = run_phase1(cfg)
     report, ctx = run_phase2(cfg, phase1, fault_hook=fault_hook)
     return phase1, report, ctx
-
-
-def report_gas(ledger: Ledger) -> str:
-    """Per-operation counts and gas totals over sealed blocks."""
-    return gas_report(ledger.dump_text())
 
 
 def write_ledger(ledger: Ledger, ledger_path: Path, gas_path: Path) -> str:

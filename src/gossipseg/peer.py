@@ -109,7 +109,6 @@ class RunContext:
     cfg: RunConfig
     ledger: Ledger
     store: BlockStore
-    segment_specs: dict[int, SegmentSpec]
     peers: dict[int, "Peer"]
     global_params: ModelParams | None = None
     global_cid: Cid | None = None
@@ -122,16 +121,20 @@ class RunContext:
     aborted_iterations: int = 0
     trim_fallbacks: int = 0
     fault_hook: Callable[[int, Cid, int], None] | None = None
+    segment_specs: dict[int, SegmentSpec] = field(init=False)
     cluster_mates: dict[int, np.ndarray] = field(init=False)
 
     def __post_init__(self) -> None:
-        # each peer's cluster mates, ascending; fixed for the whole run
+        # the peers' segments by cluster id, ascending, and each peer's
+        # cluster mates, ascending; both fixed for the whole run
+        by_cluster = {peer.segment.cluster_id: peer.segment for peer in self.peers.values()}
+        self.segment_specs = dict(sorted(by_cluster.items()))
         self.cluster_mates = {
             pid: np.array(
                 sorted(
                     p
                     for p, other in self.peers.items()
-                    if other.cluster_id == peer.cluster_id and p != pid
+                    if other.segment.cluster_id == peer.segment.cluster_id and p != pid
                 )
             )
             for pid, peer in self.peers.items()
@@ -168,7 +171,6 @@ def _robust_combine(
 @dataclass
 class Peer:
     peer_id: int
-    cluster_id: int
     segment: SegmentSpec
     params: ModelParams
     baseline: ModelParams
@@ -334,7 +336,7 @@ class Peer:
             published = self.params.with_buf(np.zeros_like(self.params.buf))
             published.buf[owned] = own
             payload = encode_update(
-                published, ctx.global_round, self.peer_id, self.cluster_id, claimed
+                published, ctx.global_round, self.peer_id, self.segment.cluster_id, claimed
             )
             self._publish(ctx, payload)
 
@@ -395,7 +397,8 @@ def leader_duty(leader: Peer, ctx: RunContext) -> Cid | None:
     for sender in sorted(latest):
         update = leader._pull(ctx, sender, latest[sender])
         if update is not None:
-            by_cluster.setdefault(ctx.peers[sender].cluster_id, []).append(update.delta.buf)
+            cluster_id = ctx.peers[sender].segment.cluster_id
+            by_cluster.setdefault(cluster_id, []).append(update.delta.buf)
             all_flats.append(update.delta.buf)
 
     theta = base.copy()

@@ -2,6 +2,11 @@
 
 One hidden ReLU layer feeds the segmented final layer.  Losses use
 log-softmax with max shifting, so extreme logits stay finite.
+
+Batches are taken as given: a non-empty ``(n, d)`` float feature matrix
+whose width is the model's input width, and ``n`` integer labels within the
+model's classes.  ``LabeledDataset`` and ``build_dataset`` check this once,
+where data enters a run.
 """
 from __future__ import annotations
 
@@ -9,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, InvalidInputError, ShapeMismatchError
+from .errors import ConfigurationError, ShapeMismatchError
 from .model import ModelParams
 
 
@@ -40,23 +45,6 @@ def init_params(
     return ModelParams([w1, b1], w2, b2)
 
 
-def _check_batch(params: ModelParams, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    if x.ndim != 1 and x.ndim != 2:
-        raise InvalidInputError("features must be a vector or a matrix")
-    if x.ndim == 1:
-        x = x[None, :]
-        y = np.atleast_1d(y)
-    if len(x) == 0:
-        raise InvalidInputError("empty batch")
-    if x.shape[1] != params.lower_layers[0].shape[0]:
-        raise InvalidInputError("feature width does not match the model")
-    if y.min() < 0 or y.max() >= params.num_output_units:
-        raise InvalidInputError("label outside the model's classes")
-    return x, y
-
-
 def _forward(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     w1, b1 = params.lower_layers
     pre = x @ w1 + b1
@@ -77,7 +65,6 @@ def forward_loss(
     params: ModelParams, x: np.ndarray, y: np.ndarray
 ) -> tuple[float, np.ndarray]:
     """Mean cross-entropy and raw logits for a batch."""
-    x, y = _check_batch(params, x, y)
     _, _, logits = _forward(params, x)
     logp = _log_softmax(logits)
     loss = float(-logp[np.arange(len(y)), y].mean())
@@ -86,7 +73,6 @@ def forward_loss(
 
 def gradient(params: ModelParams, x: np.ndarray, y: np.ndarray) -> ModelParams:
     """Exact mean-loss gradient with the same geometry as ``params``."""
-    x, y = _check_batch(params, x, y)
     pre, hidden, logits = _forward(params, x)
     grad = params.with_buf(np.empty_like(params.buf))
     grad_w1, grad_b1 = grad.lower_layers

@@ -1,3 +1,5 @@
+import struct
+
 import hypothesis
 import numpy as np
 import pytest
@@ -27,6 +29,13 @@ def rng():
 def plant(store, node: bytes):
     """Write a hand-built node under its own digest, bypassing ``put``."""
     return store._write_block(node)
+
+
+def write_idx(path, dtype_code, dims, payload_bytes):
+    """Write an IDX file: zero magic, dtype code, dims, then the raw payload."""
+    header = struct.pack(">BBBB", 0, 0, dtype_code, len(dims))
+    header += b"".join(struct.pack(">I", d) for d in dims)
+    path.write_bytes(header + payload_bytes)
 
 
 def tamper(store, cid, index: int, mask: int) -> None:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from conftest import write_idx
 from gossipseg.datasets import (
     LabeledDataset,
     dirichlet_partition,
@@ -113,12 +114,6 @@ def test_label_distribution_matches_manual_count(rng):
     want /= len(shard)
     assert np.allclose(dist, want, atol=0)
     assert abs(dist.sum() - 1.0) < 1e-12
-
-
-def write_idx(path, dtype_code, dims, payload_bytes):
-    header = struct.pack(">BBBB", 0, 0, dtype_code, len(dims))
-    header += b"".join(struct.pack(">I", d) for d in dims)
-    path.write_bytes(header + payload_bytes)
 
 
 def test_idx_array_roundtrip(tmp_path):

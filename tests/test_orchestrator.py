@@ -8,14 +8,16 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from conftest import write_idx
 from gossipseg.cli import _RUN_FLAGS, _build_config, build_parser, main
-from gossipseg.config import DataConfig, RunConfig, load_config, save_config
+from gossipseg.config import DataConfig, RunConfig, config_to_dict, load_config, save_config
+from gossipseg.errors import ConfigurationError
+from gossipseg.ledger import gas_report
 from gossipseg.orchestrator import (
     METRICS_HEADER,
     METRICS_VERSION_LINE,
     build_dataset,
     derive_seed,
-    report_gas,
     run_full,
     run_phase1,
 )
@@ -74,14 +76,14 @@ def test_phase1_ledger_sequence_and_state(tmp_path):
     assert ops.count("save_cluster_centers") == 1
     assert ops.count("assign_segment") == 4
     assert ops.count("get_segment") == 4
-    assert ledger.registered_peers() == [0, 1, 2, 3]
-    # every peer landed in a valid cluster with a stored segment
+    assert list(ledger._registry) == [0, 1, 2, 3]
+    # every peer landed in its cluster's segment, as the ledger stores it
     for pid in range(4):
-        cluster = phase1.assignment.assignment[pid]
-        assert phase1.segment_specs[cluster] == ledger._segments[pid]
+        assert phase1.segments[pid] == ledger._segments[pid]
+        assert phase1.segments[pid].cluster_id == phase1.assignment.assignment[pid]
     # segments tile the output rows exactly
     rows = []
-    for spec in phase1.segment_specs.values():
+    for spec in set(phase1.segments.values()):
         rows.extend(range(spec.start, spec.end + 1))
     assert sorted(rows) == list(range(cfg.data.num_classes))
 
@@ -96,7 +98,51 @@ def test_phase1_gas_total_matches_dump_aggregation(tmp_path):
     for line in dump_path.read_text().splitlines()[1:]:
         total += int(line.split("\t")[3])
     assert total == phase1.ledger.total_gas()
-    assert report_gas(phase1.ledger).splitlines()[-1].split() == ["TOTAL", str(total)]
+    assert gas_report(phase1.ledger.dump_text()).splitlines()[-1].split() == ["TOTAL", str(total)]
+
+
+def idx_split_config(tmp_path, train_width, test_width):
+    """Four-class IDX train and test files of the given feature widths."""
+    paths = {}
+    for split, width, count in (("train", train_width, 48), ("test", test_width, 12)):
+        images = np.arange(count * width, dtype=np.uint8).reshape(count, width)
+        labels = np.arange(count, dtype=np.uint8) % 4
+        for kind, values in (("images", images), ("labels", labels)):
+            path = tmp_path / f"{split}-{kind}.idx"
+            write_idx(path, 0x08, values.shape, values.tobytes())
+            paths[f"{split}_{kind}"] = str(path)
+    data = DataConfig(
+        num_classes=4,
+        idx_images=paths["train_images"],
+        idx_labels=paths["train_labels"],
+        idx_test_images=paths["test_images"],
+        idx_test_labels=paths["test_labels"],
+    )
+    return tiny_config(tmp_path, data=data)
+
+
+def test_build_dataset_rejects_idx_test_set_of_another_width(tmp_path):
+    train, test = build_dataset(idx_split_config(tmp_path, 6, 6))
+    assert train.features.shape == (48, 6) and test.features.shape == (12, 6)
+    with pytest.raises(ConfigurationError, match="features per sample"):
+        build_dataset(idx_split_config(tmp_path, 6, 5))
+
+
+def test_cli_rejects_idx_test_set_of_another_width_before_setup(tmp_path, capsys):
+    cfg = idx_split_config(tmp_path, 6, 5)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config_to_dict(cfg)))
+    assert main(["run", "--config", str(config_path)]) == 2
+    assert "features per sample" in capsys.readouterr().err
+    # rejected before the block store or any artifact exists
+    assert not cfg.resolve_out_dir().exists()
+
+
+def test_phase2_peers_train_on_the_segments_the_ledger_returned(tmp_path):
+    phase1, _, ctx = run_full(tiny_config(tmp_path, duration_ticks=10))
+    for pid, peer in ctx.peers.items():
+        assert peer.segment == phase1.segments[pid] == phase1.ledger._segments[pid]
+    assert list(ctx.segment_specs) == sorted({s.cluster_id for s in phase1.segments.values()})
 
 
 def test_full_run_report_and_artifacts(tmp_path):
@@ -301,6 +347,20 @@ def test_cli_rejects_bad_input(tmp_path, capsys):
             path.write_text(text)
         assert main(["gas-report", "--ledger", str(path)]) == 2, name
         assert "error:" in capsys.readouterr().err
+
+    # an output file path that names a directory is rejected before any setup
+    directory = tmp_path / "a-directory"
+    directory.mkdir()
+    out = tmp_path / "rejected-run"
+    for command, flag in (("run", "--ledger-out"), ("run", "--metrics-out"),
+                          ("phase1", "--ledger-out")):
+        assert main([
+            command, "--peers", "4", "--clusters", "2", "--paillier-bits", "512",
+            "--out-dir", str(out), flag, str(directory),
+        ]) == 2, (command, flag)
+        assert "is a directory" in capsys.readouterr().err
+        assert not (out / "cas").exists() and not (out / "metrics.csv").exists()
+        assert list(directory.iterdir()) == []
 
 
 def test_cli_rejects_malformed_config_file(tmp_path, capsys):

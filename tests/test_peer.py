@@ -54,14 +54,13 @@ def build_ctx(tmp_path, num_peers=2, num_clusters=2, fanout=1, trim_ratio=0.0,
         ledger.register(pid, f"cred-{pid}")
     store = BlockStore(tmp_path / "cas")
     data = synthetic_blobs(4, 30, 4, np.random.default_rng(0))
-    specs = {s.cluster_id: s for s in segment_boundaries(4, num_clusters)}
+    specs = segment_boundaries(4, num_clusters)
     base = init_params(4, 6, 4, np.random.default_rng(1))
     peers = {}
     for pid in range(num_peers):
         cluster = pid % num_clusters
         peers[pid] = Peer(
             peer_id=pid,
-            cluster_id=cluster,
             segment=specs[cluster],
             params=base.copy(),
             baseline=base.copy(),
@@ -73,7 +72,6 @@ def build_ctx(tmp_path, num_peers=2, num_clusters=2, fanout=1, trim_ratio=0.0,
         cfg=cfg,
         ledger=ledger,
         store=store,
-        segment_specs=specs,
         peers=peers,
         global_params=base.copy(),
         global_round=0,
@@ -355,7 +353,7 @@ def test_leader_duty_matches_manual_reconstruction(tmp_path):
     flats = []
     for cid in ctx.ledger.hash_records(round_tag="r0").values():
         update = decode_update(ctx.store.get(cid))
-        spec = ctx.segment_specs[ctx.peers[update.sender].cluster_id]
+        spec = ctx.segment_specs[ctx.peers[update.sender].segment.cluster_id]
         masked = mask_to_segment(update.delta, spec)
         deltas[update.sender] = masked
         flats.append(masked.buf)
@@ -415,7 +413,7 @@ def test_cluster_mates_match_brute_force(tmp_path):
     for pid, peer in ctx.peers.items():
         want = sorted(
             p for p, other in ctx.peers.items()
-            if other.cluster_id == peer.cluster_id and p != pid
+            if other.segment.cluster_id == peer.segment.cluster_id and p != pid
         )
         assert ctx.cluster_mates[pid].tolist() == want
 
@@ -436,8 +434,9 @@ def test_leader_duty_counts_trim_fallbacks(tmp_path, trim_ratio, fallbacks):
 def publish_dense_update(ctx, sender, seed, hidden=6):
     """A well-formed update with every coordinate nonzero, foreign rows included."""
     delta = init_params(4, hidden, 4, np.random.default_rng(seed))
-    payload = encode_update(delta, ctx.global_round, sender, ctx.peers[sender].cluster_id, 0.0)
-    return ctx.peers[sender]._publish(ctx, payload)
+    peer = ctx.peers[sender]
+    payload = encode_update(delta, ctx.global_round, sender, peer.segment.cluster_id, 0.0)
+    return peer._publish(ctx, payload)
 
 
 def publish_foreign_geometry(ctx, sender):
@@ -502,7 +501,7 @@ def reference_leader(ctx, base):
     by_cluster, all_flats = {}, []
     for sender in sorted(latest):
         update = decode_update(ctx.store.get(latest[sender]))
-        cluster_id = ctx.peers[sender].cluster_id
+        cluster_id = ctx.peers[sender].segment.cluster_id
         masked = mask_to_segment(update.delta, ctx.segment_specs[cluster_id]).buf
         by_cluster.setdefault(cluster_id, []).append(masked)
         all_flats.append(masked)

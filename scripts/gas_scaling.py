@@ -12,7 +12,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from gossipseg.config import DataConfig, RunConfig
-from gossipseg.ledger import GasTable
+from gossipseg.ledger import OPERATIONS
 from gossipseg.orchestrator import run_phase1
 
 
@@ -39,21 +39,9 @@ def main() -> int:
         print(f"{n:>6}  {total:>12,}  {delta:>10}")
         prev = total
 
-    table = GasTable()
     print("\nper-operation costs:")
-    for name in (
-        "deploy_contract_1",
-        "deploy_contract_2",
-        "register",
-        "save_cluster_centers",
-        "assign_segment",
-        "get_segment",
-        "save_hash",
-        "validate_update",
-        "penalize",
-        "reset_balance",
-    ):
-        print(f"  {name:<22} {table.cost(name):>10,}")
+    for name, op in OPERATIONS.items():
+        print(f"  {name:<22} {op.gas:>10,}  contract #{op.contract}")
     return 0
 
 

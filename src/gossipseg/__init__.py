@@ -12,7 +12,7 @@ from .datasets import (
     label_distribution,
     synthetic_blobs,
 )
-from .ledger import GasTable, Ledger
+from .ledger import OPERATIONS, Ledger
 from .model import (
     ModelParams,
     SegmentSpec,

@@ -137,8 +137,6 @@ def one_shot_cluster(
             )
             for p in members
         ]
-        centroids.append(
-            paillier.secure_mean(encrypted, len(members), crypto.keypair, crypto.scale)
-        )
+        centroids.append(paillier.secure_mean(encrypted, crypto.keypair, crypto.scale))
     assignment = {peer_ids[i]: int(labels[i]) for i in range(len(peer_ids))}
     return ClusterAssignment(assignment=assignment, centroids=centroids)

@@ -10,9 +10,11 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from pathlib import Path
+from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,53 +25,28 @@ from .model import SegmentSpec
 GENESIS_HASH = b"\x00" * 32
 DUMP_HEADER = "height\top\tcaller\tgas\tpayload_digest"
 
-OP_DEPLOY_REGISTRY = "deploy_contract_1"
-OP_DEPLOY_GOSSIP = "deploy_contract_2"
-OP_REGISTER = "register"
-OP_SAVE_CENTERS = "save_cluster_centers"
-OP_ASSIGN_SEGMENT = "assign_segment"
-OP_GET_SEGMENT = "get_segment"
-OP_SAVE_HASH = "save_hash"
-OP_VALIDATE_UPDATE = "validate_update"
-OP_PENALIZE = "penalize"
-OP_REWARD = "reward"
-OP_RESET_BALANCE = "reset_balance"
-OP_ELECT_LEADER = "elect_leader"
 
-_CONTRACT_OF = {
-    OP_DEPLOY_REGISTRY: 1,
-    OP_DEPLOY_GOSSIP: 2,
-    OP_REGISTER: 1,
-    OP_SAVE_CENTERS: 1,
-    OP_ASSIGN_SEGMENT: 1,
-    OP_GET_SEGMENT: 1,
-    OP_SAVE_HASH: 2,
-    OP_VALIDATE_UPDATE: 2,
-    OP_PENALIZE: 2,
-    OP_REWARD: 2,
-    OP_RESET_BALANCE: 2,
-    OP_ELECT_LEADER: 2,
-}
+class Operation(NamedTuple):
+    contract: int  # the contract that runs it
+    gas: int  # charged on each of its transactions
 
 
-@dataclass(frozen=True)
-class GasTable:
-    """Per-operation gas costs charged on successful transactions."""
-
-    deploy_contract_1: int = 1_418_084
-    deploy_contract_2: int = 1_566_634
-    register: int = 100_340
-    save_cluster_centers: int = 257_000
-    assign_segment: int = 120_450
-    get_segment: int = 35_210
-    save_hash: int = 50_527
-    validate_update: int = 65_800
-    penalize: int = 77_102
-    reset_balance: int = 257_032
-
-    def cost(self, op: str) -> int:
-        # election and minting have no table entry and cost nothing
-        return getattr(self, op, 0)
+# every operation the ledger records, keyed by its name in the dump;
+# election and minting cost nothing
+OPERATIONS: Mapping[str, Operation] = MappingProxyType({
+    "deploy_contract_1": Operation(1, 1_418_084),
+    "deploy_contract_2": Operation(2, 1_566_634),
+    "register": Operation(1, 100_340),
+    "save_cluster_centers": Operation(1, 257_000),
+    "assign_segment": Operation(1, 120_450),
+    "get_segment": Operation(1, 35_210),
+    "save_hash": Operation(2, 50_527),
+    "validate_update": Operation(2, 65_800),
+    "penalize": Operation(2, 77_102),
+    "reward": Operation(2, 0),
+    "reset_balance": Operation(2, 257_032),
+    "elect_leader": Operation(2, 0),
+})
 
 
 @dataclass
@@ -154,7 +131,6 @@ class Ledger:
     def __init__(self, initial_tokens: int = 1000):
         if initial_tokens < 0:
             raise LedgerError("initial_tokens must be >= 0")
-        self.gas_table = GasTable()
         self.initial_tokens = initial_tokens
         self._blocks: list[LedgerBlock] = []
         self._pending: list[Transaction] = []
@@ -173,12 +149,13 @@ class Ledger:
     # -- internals ---------------------------------------------------------
 
     def _record(self, op: str, caller: str, payload: dict) -> Transaction:
+        contract, gas = OPERATIONS[op]
         tx = Transaction(
             op=op,
             caller=caller,
             payload=payload,
-            gas=self.gas_table.cost(op),
-            contract=_CONTRACT_OF[op],
+            gas=gas,
+            contract=contract,
         )
         self._pending.append(tx)
         self._pending_gas += tx.gas
@@ -195,8 +172,8 @@ class Ledger:
     def deploy_contracts(self, payload_1: dict | None = None) -> None:
         if self._deployed:
             raise LedgerError("contracts already deployed")
-        self._record(OP_DEPLOY_REGISTRY, "genesis", payload_1 or {})
-        self._record(OP_DEPLOY_GOSSIP, "genesis", {})
+        self._record("deploy_contract_1", "genesis", payload_1 or {})
+        self._record("deploy_contract_2", "genesis", {})
         self._deployed = True
 
     def register(self, peer_id: int, credential: str) -> PeerRecord:
@@ -208,7 +185,7 @@ class Ledger:
         self._registry[peer_id] = record
         self._credentials.add(credential)
         self._record(
-            OP_REGISTER,
+            "register",
             str(peer_id),
             {"credential_digest": hashlib.sha256(credential.encode()).hexdigest()},
         )
@@ -219,7 +196,7 @@ class Ledger:
         if not centroids:
             raise LedgerError("no centroids to save")
         payload = {"centroids": [[float(v) for v in c] for c in centroids]}
-        self._record(OP_SAVE_CENTERS, str(caller), payload)
+        self._record("save_cluster_centers", str(caller), payload)
         self._clustered = True
 
     def assign_segment(self, peer_id: int, spec: SegmentSpec) -> None:
@@ -228,7 +205,7 @@ class Ledger:
             raise LedgerError("segments cannot be assigned before clustering")
         self._segments[peer_id] = spec
         self._record(
-            OP_ASSIGN_SEGMENT,
+            "assign_segment",
             str(peer_id),
             {"cluster": spec.cluster_id, "start": spec.start, "end": spec.end},
         )
@@ -239,7 +216,7 @@ class Ledger:
         if spec is None:
             raise LedgerError(f"peer {peer_id} has no assigned segment")
         self._record(
-            OP_GET_SEGMENT,
+            "get_segment",
             str(peer_id),
             {"cluster": spec.cluster_id, "start": spec.start, "end": spec.end},
         )
@@ -257,7 +234,7 @@ class Ledger:
         self._hash_triples.add((round_tag, peer_id, cid_hex))
         self._recorded_cids.add(cid_hex)
         self._latest_cids.setdefault(round_tag, {})[peer_id] = cid
-        self._record(OP_SAVE_HASH, str(peer_id), {"cid": cid_hex, "tag": round_tag})
+        self._record("save_hash", str(peer_id), {"cid": cid_hex, "tag": round_tag})
 
     def has_hash_record(self, peer_id: int, cid: Cid, round_tag: str) -> bool:
         """Whether ``save_hash`` would reject this record as a replay."""
@@ -280,7 +257,7 @@ class Ledger:
         cid_hex = cid.hex
         ok = cid_hex in self._recorded_cids and content_digest == cid
         self._record(
-            OP_VALIDATE_UPDATE,
+            "validate_update",
             caller,
             {"cid": cid_hex, "digest": content_digest.hex, "ok": ok},
         )
@@ -292,7 +269,7 @@ class Ledger:
             raise LedgerError("penalty amount must be >= 0")
         record.tokens = max(0, record.tokens - amount)
         self._record(
-            OP_PENALIZE,
+            "penalize",
             str(peer_id),
             {"amount": amount, "reason": reason, "balance": record.tokens},
         )
@@ -304,7 +281,7 @@ class Ledger:
             raise LedgerError("reward amount must be >= 0")
         record.tokens += amount
         self._record(
-            OP_REWARD,
+            "reward",
             str(peer_id),
             {"amount": amount, "reason": reason, "balance": record.tokens},
         )
@@ -313,7 +290,7 @@ class Ledger:
     def reset_balance(self, peer_id: int) -> int:
         record = self._require_registered(peer_id)
         record.tokens = self.initial_tokens
-        self._record(OP_RESET_BALANCE, str(peer_id), {"balance": record.tokens})
+        self._record("reset_balance", str(peer_id), {"balance": record.tokens})
         return record.tokens
 
     def balance(self, peer_id: int) -> int:
@@ -329,7 +306,7 @@ class Ledger:
         tip = self._blocks[-1].block_hash() if self._blocks else GENESIS_HASH
         digest = hashlib.sha256(tip + struct.pack("<q", tick)).digest()
         leader = peers[int.from_bytes(digest, "big") % len(peers)]
-        self._record(OP_ELECT_LEADER, "scheduler", {"tick": tick, "leader": leader})
+        self._record("elect_leader", "scheduler", {"tick": tick, "leader": leader})
         return leader
 
     def pending_count(self) -> int:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import random
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -29,7 +30,7 @@ from .datasets import (
 from .errors import ConfigurationError
 from .ledger import Ledger, gas_report
 from .model import SegmentSpec, canonical_bytes, segment_boundaries
-from .peer import Peer, RunContext, global_tag, leader_duty
+from .peer import Peer, RunContext, leader_duty, publish_global
 from .scheduler import Scheduler
 
 METRICS_HEADER = "tick,peer_id,cluster_id,iteration,loss,accuracy,tokens,cumulative_gas"
@@ -62,7 +63,7 @@ class RunReport:
     tokens: dict[int, int]
     total_gas: int
     global_rounds: int
-    final_global_cid: str | None
+    final_global_cid: str
     ticks: int
     segment_violations: int
     integrity_alarms: int
@@ -128,12 +129,19 @@ def build_dataset(cfg: RunConfig) -> tuple[LabeledDataset, LabeledDataset]:
 def run_phase1(cfg: RunConfig) -> Phase1Result:
     """Register, cluster, and segment; exactly one assignment pass.
 
-    The output files and the data are checked first, so a rejected config
+    The output paths and the data are checked first, so a rejected config
     costs no key generation and leaves nothing on disk.
     """
+    out_dirs = [cfg.resolve_out_dir(), cfg.resolve_cas_dir()]
     for path in (cfg.resolve_metrics_out(), cfg.resolve_ledger_out()):
         if path.is_dir():
             raise ConfigurationError(f"output file {path} is a directory")
+        out_dirs.append(path.parent)
+    for out_dir in out_dirs:
+        # the nearest existing path at or above it is where mkdir would start
+        existing = next(p for p in (out_dir, *out_dir.parents) if os.path.lexists(p))
+        if not existing.is_dir():
+            raise ConfigurationError(f"output directory {out_dir}: {existing} is not a directory")
     train_data, test_data = build_dataset(cfg)
     store = BlockStore(cfg.resolve_cas_dir())
     ledger = Ledger(initial_tokens=cfg.initial_tokens)
@@ -239,22 +247,16 @@ def run_phase2(
         fault_hook=fault_hook,
     )
 
-    genesis_leader = ledger.elect_leader(0)
-    initial_bytes = canonical_bytes(initial_params)
-    genesis_cid = store.put(initial_bytes)
-    ledger.save_hash(genesis_leader, genesis_cid, global_tag(0))
-    ctx.global_params = initial_params.copy()
-    ctx.global_cid = genesis_cid
-    ctx.global_round = 0
+    publish_global(ctx, ledger.elect_leader(0), initial_params)
     for pid in sorted(peers):
         peers[pid].sync_global(ctx)
 
+    # every peer now holds the initial model, whether its sync succeeded or not
+    initial_acc, initial_loss = trainer.evaluate(initial_params, test_x, test_y)
+    initial_accuracy = dict.fromkeys(sorted(peers), initial_acc)
     rows = [METRICS_VERSION_LINE, METRICS_HEADER]
-    initial_accuracy: dict[int, float] = {}
-    for pid in sorted(peers):
-        acc, loss = trainer.evaluate(peers[pid].params, test_x, test_y)
-        initial_accuracy[pid] = acc
-        rows.append(_metric_row(ctx, 0, peers[pid], acc, loss))
+    for pid in initial_accuracy:
+        rows.append(_metric_row(ctx, 0, peers[pid], initial_acc, initial_loss))
 
     sched = Scheduler()
 
@@ -262,7 +264,7 @@ def run_phase2(
         leader_id = ledger.elect_leader(tick)
         leader_duty(peers[leader_id], ctx)
         for pid in sorted(peers):
-            peers[pid].maybe_sync(ctx)
+            peers[pid].sync_global(ctx)
 
     def seal_tick(tick: int) -> None:
         if ledger.pending_count():
@@ -271,7 +273,8 @@ def run_phase2(
     def make_wake(pid: int):
         def wake(tick: int) -> None:
             peer = peers[pid]
-            peer.maybe_sync(ctx)
+            if ctx.global_round > peer.synced_round:  # retry a failed sync
+                peer.sync_global(ctx)
             peer.peer_iteration(ctx)
             acc, loss = trainer.evaluate(peer.params, test_x, test_y)
             rows.append(_metric_row(ctx, tick, peer, acc, loss))
@@ -317,9 +320,7 @@ def run_phase2(
 
     metrics_path.write_text("\n".join(rows) + "\n", encoding="utf-8")
     write_ledger(ledger, ledger_path, gas_path)
-    model_path.write_bytes(
-        canonical_bytes(ctx.global_params) if ctx.global_params else b""
-    )
+    model_path.write_bytes(canonical_bytes(ctx.global_params))
     save_config(cfg, config_path)
 
     report = RunReport(
@@ -331,7 +332,7 @@ def run_phase2(
         tokens={pid: ledger.balance(pid) for pid in sorted(peers)},
         total_gas=ledger.total_gas(),
         global_rounds=ctx.global_round,
-        final_global_cid=ctx.global_cid.hex if ctx.global_cid else None,
+        final_global_cid=ctx.global_cid.hex,
         ticks=cfg.duration_ticks,
         segment_violations=ctx.segment_violations,
         integrity_alarms=ctx.integrity_alarms,

@@ -272,31 +272,26 @@ def encrypt_vector(
 
 def secure_mean(
     encrypted_vectors: Sequence[PackedVector],
-    count: int,
     kp: PaillierKeyPair,
     scale: int,
 ) -> np.ndarray:
     """Component-wise mean of packed encrypted fixed-point vectors.
 
     Ciphertexts are folded homomorphically chunk by chunk, each chunk sum is
-    decrypted once, and its slots are unpacked, decoded and divided by
-    ``count``.
+    decrypted once, and its slots are unpacked, decoded and divided by the
+    number of vectors.
 
     Args:
         encrypted_vectors: One packed vector per contributor.
-        count: Number of contributors; the divisor.
         kp: Key pair of the single decrypting party.
         scale: Fixed-point scale used at encryption time.
 
     Returns:
         Real-valued mean vector.
     """
-    if count < 1 or len(encrypted_vectors) == 0:
+    count = len(encrypted_vectors)
+    if count == 0:
         raise EmptyAggregationError("secure mean over zero contributors")
-    if len(encrypted_vectors) != count:
-        raise InvalidInputError(
-            f"count {count} does not match {len(encrypted_vectors)} vectors"
-        )
     first = encrypted_vectors[0]
     if any(
         (vec.length, vec.width, len(vec.chunks))

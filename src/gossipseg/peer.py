@@ -110,9 +110,10 @@ class RunContext:
     ledger: Ledger
     store: BlockStore
     peers: dict[int, "Peer"]
+    # set by ``publish_global`` only; round -1 is "no global model yet"
     global_params: ModelParams | None = None
     global_cid: Cid | None = None
-    global_round: int = 0
+    global_round: int = -1
     quarantined: set[str] = field(default_factory=set)
     consumed_log: list[tuple[int, int, str]] = field(default_factory=list)
     segment_violations: int = 0
@@ -187,11 +188,6 @@ class Peer:
         self.eval_labels = self.labels[:eval_count]
 
     # -- sync ---------------------------------------------------------------
-
-    def maybe_sync(self, ctx: RunContext) -> bool:
-        if ctx.global_cid is None or ctx.global_round <= self.synced_round:
-            return False
-        return self.sync_global(ctx)
 
     def sync_global(self, ctx: RunContext) -> bool:
         """Fetch the current global model; keep local state if it fails."""
@@ -385,8 +381,8 @@ def leader_duty(leader: Peer, ctx: RunContext) -> Cid | None:
     Per segment, the rows it owns are combined coordinate-wise over its
     members' deltas; lower layers are combined across every accepted update.
     No other coordinate is read, and segments with no updates carry the
-    previous global values.  The result is stored in the block store and its
-    CID recorded on the ledger.
+    previous global values.  The result is published as the next global
+    round.
     """
     base = ctx.global_params
     if base is None:
@@ -412,10 +408,14 @@ def leader_duty(leader: Peer, ctx: RunContext) -> Cid | None:
     if all_flats:
         lower = slice(0, base.lower_size)
         theta.buf[lower] += _robust_combine(ctx, [flat[lower] for flat in all_flats])
-    content = canonical_bytes(theta)
-    cid = ctx.store.put(content)
-    ctx.ledger.save_hash(leader.peer_id, cid, global_tag(ctx.global_round + 1))
-    ctx.global_params = theta
+    return publish_global(ctx, leader.peer_id, theta)
+
+
+def publish_global(ctx: RunContext, publisher: int, params: ModelParams) -> Cid:
+    """Store ``params``, record it under the next ``g*`` tag, advance ``ctx``."""
+    cid = ctx.store.put(canonical_bytes(params))
+    ctx.ledger.save_hash(publisher, cid, global_tag(ctx.global_round + 1))
+    ctx.global_params = params
     ctx.global_cid = cid
     ctx.global_round += 1
     return cid

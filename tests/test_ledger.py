@@ -13,7 +13,7 @@ from gossipseg.cas import Cid
 from gossipseg.errors import LedgerError
 from gossipseg.ledger import (
     GENESIS_HASH,
-    GasTable,
+    OPERATIONS,
     Ledger,
     Transaction,
     gas_report,
@@ -36,25 +36,38 @@ def ledger():
 
 
 def test_gas_table_frozen_costs():
-    table = GasTable()
-    assert table.deploy_contract_1 == 1_418_084
-    assert table.deploy_contract_2 == 1_566_634
-    assert table.register == 100_340
-    assert table.save_cluster_centers == 257_000
-    assert table.assign_segment == 120_450
-    assert table.get_segment == 35_210
-    assert table.save_hash == 50_527
-    assert table.validate_update == 65_800
-    assert table.penalize == 77_102
-    assert table.reset_balance == 257_032
-    # election and minting are not metered
-    assert table.cost("elect_leader") == 0
-    assert table.cost("reward") == 0
+    assert {name: (op.contract, op.gas) for name, op in OPERATIONS.items()} == {
+        "deploy_contract_1": (1, 1_418_084),
+        "deploy_contract_2": (2, 1_566_634),
+        "register": (1, 100_340),
+        "save_cluster_centers": (1, 257_000),
+        "assign_segment": (1, 120_450),
+        "get_segment": (1, 35_210),
+        "save_hash": (2, 50_527),
+        "validate_update": (2, 65_800),
+        "penalize": (2, 77_102),
+        # election and minting are not metered
+        "reward": (2, 0),
+        "reset_balance": (2, 257_032),
+        "elect_leader": (2, 0),
+    }
+    with pytest.raises(TypeError):
+        OPERATIONS["register"] = OPERATIONS["reward"]
+
+
+def test_unknown_operation_is_not_recorded(ledger):
+    pending = ledger.pending_count()
+    with pytest.raises(KeyError):
+        ledger._record("mint", "0", {})
+    assert ledger.pending_count() == pending
 
 
 def test_cumulative_gas_matches_manual_sum(ledger):
-    table = ledger.gas_table
-    want = table.deploy_contract_1 + table.deploy_contract_2 + 4 * table.register
+    want = (
+        OPERATIONS["deploy_contract_1"].gas
+        + OPERATIONS["deploy_contract_2"].gas
+        + 4 * OPERATIONS["register"].gas
+    )
     assert ledger.cumulative_gas() == want
     assert ledger.total_gas() == 0  # nothing sealed yet
     ledger.seal_block(1)
@@ -90,7 +103,7 @@ def test_get_segment_is_charged(ledger):
     ledger.assign_segment(0, SegmentSpec(cluster_id=0, start=0, end=1))
     before = ledger.cumulative_gas()
     ledger.get_segment(0)
-    assert ledger.cumulative_gas() == before + ledger.gas_table.get_segment
+    assert ledger.cumulative_gas() == before + OPERATIONS["get_segment"].gas
 
 
 def test_save_hash_replay_rejected_without_side_effects(ledger):
@@ -139,7 +152,7 @@ def test_validate_update_charged_both_ways(ledger):
     assert ledger.validate_update(cid, cid) is True
     assert ledger.validate_update(cid, cid_of(b"tampered")) is False
     assert ledger.validate_update(cid_of(b"unknown"), cid_of(b"unknown")) is False
-    assert ledger.cumulative_gas() == g0 + 3 * ledger.gas_table.validate_update
+    assert ledger.cumulative_gas() == g0 + 3 * OPERATIONS["validate_update"].gas
 
 
 def test_token_incentives(ledger):
@@ -161,7 +174,7 @@ def test_reward_is_free_and_penalize_is_charged(ledger):
     ledger.reward(1, 10)
     assert ledger.cumulative_gas() == g0
     ledger.penalize(1, 10)
-    assert ledger.cumulative_gas() == g0 + ledger.gas_table.penalize
+    assert ledger.cumulative_gas() == g0 + OPERATIONS["penalize"].gas
 
 
 def elect_oracle(ledger, tick):
@@ -288,8 +301,8 @@ def test_hash_indexes_and_gas_sums_match_brute_force(steps):
     led.deploy_contracts()
     for pid in ORACLE_PEERS:
         led.register(pid, f"cred-{pid}")
-    table = led.gas_table
-    spent = table.deploy_contract_1 + table.deploy_contract_2 + 3 * table.register
+    gas = {name: op.gas for name, op in OPERATIONS.items()}
+    spent = gas["deploy_contract_1"] + gas["deploy_contract_2"] + 3 * gas["register"]
     saved: list[tuple[int, Cid, str]] = []  # the oracle: a plain list of what was recorded
     for tick, step in enumerate(steps):
         if step[0] == "save":
@@ -301,12 +314,12 @@ def test_hash_indexes_and_gas_sums_match_brute_force(steps):
             else:
                 led.save_hash(peer, cid, tag)
                 saved.append((peer, cid, tag))
-                spent += table.save_hash
+                spent += gas["save_hash"]
         elif step[0] == "validate":
             cid = ORACLE_CIDS[step[1]]
             known = any(c == cid for _, c, _ in saved)
             assert led.validate_update(cid, cid) is known
-            spent += table.validate_update
+            spent += gas["validate_update"]
         elif led.pending_count():
             led.seal_block(tick)
         sealed = [tx.gas for block in led.blocks for tx in block.transactions]

@@ -12,7 +12,7 @@ from conftest import write_idx
 from gossipseg.cli import _RUN_FLAGS, _build_config, build_parser, main
 from gossipseg.config import DataConfig, RunConfig, config_to_dict, load_config, save_config
 from gossipseg.errors import ConfigurationError
-from gossipseg.ledger import gas_report
+from gossipseg.ledger import OPERATIONS, gas_report
 from gossipseg.orchestrator import (
     METRICS_HEADER,
     METRICS_VERSION_LINE,
@@ -22,6 +22,7 @@ from gossipseg.orchestrator import (
     run_phase1,
 )
 from gossipseg.model import canonical_bytes
+from gossipseg.peer import Peer
 from gossipseg.privacy import DpConfig
 
 
@@ -214,6 +215,33 @@ def test_every_global_round_has_one_hash_record(tmp_path):
     assert len({(tx.caller, tx.payload["cid"]) for tx in global_records}) < 61
 
 
+def test_every_transaction_is_priced_by_the_operation_table(tmp_path):
+    _, _, ctx = run_full(tiny_config(tmp_path, byzantine_peers=(1,)))
+    ops = Counter()
+    for block in ctx.ledger.blocks:
+        for tx in block.transactions:
+            assert (tx.contract, tx.gas) == OPERATIONS[tx.op], tx.op
+            ops[tx.op] += 1
+    # a byzantine peer's updates draw penalties, so every gossip op is seen
+    assert set(ops) == set(OPERATIONS) - {"reset_balance"}
+
+
+def test_each_peer_syncs_once_per_global_round(tmp_path, monkeypatch):
+    syncs = Counter()
+    real_sync = Peer.sync_global
+
+    def counted_sync(peer, ctx):
+        syncs[peer.peer_id] += 1
+        return real_sync(peer, ctx)
+
+    monkeypatch.setattr(Peer, "sync_global", counted_sync)
+    _, report, ctx = run_full(tiny_config(tmp_path))
+    assert report.integrity_alarms == 0
+    # genesis is round 0, so a run of R rounds has R + 1 global models
+    assert syncs == {pid: report.global_rounds + 1 for pid in ctx.peers}
+    assert all(peer.synced_round == report.global_rounds for peer in ctx.peers.values())
+
+
 def test_metrics_file_format(tmp_path):
     cfg = tiny_config(tmp_path)
     _, report, _ = run_full(cfg)
@@ -361,6 +389,30 @@ def test_cli_rejects_bad_input(tmp_path, capsys):
         assert "is a directory" in capsys.readouterr().err
         assert not (out / "cas").exists() and not (out / "metrics.csv").exists()
         assert list(directory.iterdir()) == []
+
+    # an output directory, or an output file's parent, that is or lies under
+    # an existing non-directory is rejected before any setup
+    regular = tmp_path / "a-file"
+    regular.write_text("keep")
+    dangling = tmp_path / "a-dangling-link"
+    dangling.symlink_to(tmp_path / "nowhere")
+    before = sorted(tmp_path.iterdir())
+    for command, flag, value in (
+        ("run", "--out-dir", regular),
+        ("phase1", "--out-dir", regular),
+        ("run", "--cas-dir", regular),
+        ("run", "--cas-dir", regular / "cas"),
+        ("run", "--metrics-out", regular / "m.csv"),
+        ("run", "--ledger-out", regular / "sub" / "ledger.txt"),
+        ("run", "--out-dir", dangling),
+    ):
+        assert main([
+            command, "--peers", "4", "--clusters", "2", "--paillier-bits", "512",
+            "--out-dir", str(out), flag, str(value),
+        ]) == 2, (command, flag, value)
+        assert "is not a directory" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == before
+        assert regular.read_text() == "keep"
 
 
 def test_cli_rejects_malformed_config_file(tmp_path, capsys):

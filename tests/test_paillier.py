@@ -108,7 +108,7 @@ def test_secure_mean_matches_plaintext_loop(small_keypair):
         encrypt_vector(v, kp.public, scale, rng, contributors=len(vectors))
         for v in vectors
     ]
-    got = secure_mean(encrypted, len(vectors), kp, scale)
+    got = secure_mean(encrypted, kp, scale)
 
     # reference: plain python accumulation, no numpy mean
     want = []
@@ -123,11 +123,12 @@ def test_secure_mean_matches_plaintext_loop(small_keypair):
 def test_secure_mean_guards(small_keypair):
     kp = small_keypair
     scale = 10**6
-    enc = [encrypt_vector([0.5], kp.public, scale, random.Random(3), contributors=1)]
     with pytest.raises(EmptyAggregationError):
-        secure_mean([], 0, kp, scale)
+        secure_mean([], kp, scale)
+    rng = random.Random(3)
+    mixed = [encrypt_vector(v, kp.public, scale, rng, contributors=2) for v in ([0.5], [0.5, 0.5])]
     with pytest.raises(InvalidInputError):
-        secure_mean(enc, 2, kp, scale)
+        secure_mean(mixed, kp, scale)
 
 
 def textbook_decrypt(c, kp):
@@ -179,7 +180,7 @@ def test_packed_secure_mean_equals_integer_reference(
     assert all(vec.width == width for vec in encrypted)
     assert all(len(vec.chunks) == -(-length // slots) for vec in encrypted)
 
-    got = secure_mean(encrypted, count, kp, scale)
+    got = secure_mean(encrypted, kp, scale)
     want = [
         sum(encode_fixed(float(vectors[i, j]), scale) for i in range(count)) / scale / count
         for j in range(length)
@@ -194,7 +195,7 @@ def test_slot_capacity_enforced(small_keypair):
     # sized for one contributor: 20-bit slots hold at most 1,048,575 < 2 * scale
     enc = [encrypt_vector([1.0, 1.0], kp.public, scale, rng, contributors=1) for _ in range(2)]
     with pytest.raises(ConfigurationError):
-        secure_mean(enc, 2, kp, scale)
+        secure_mean(enc, kp, scale)
 
     # a slot as wide as n leaves no room for even one slot below n
     huge = 1 << kp.public.n.bit_length()
@@ -202,4 +203,4 @@ def test_slot_capacity_enforced(small_keypair):
         encrypt_vector([0.5], kp.public, scale, rng, contributors=huge)
     too_wide = replace(enc[0], width=kp.public.n.bit_length())
     with pytest.raises(ConfigurationError):
-        secure_mean([too_wide], 1, kp, scale)
+        secure_mean([too_wide], kp, scale)

@@ -327,17 +327,6 @@ def test_sync_failure_keeps_local_state(tmp_path):
     assert peer.synced_round == -1
 
 
-def test_maybe_sync_skips_stale_rounds(tmp_path):
-    ctx = build_ctx(tmp_path)
-    peer = ctx.peers[0]
-    assert peer.maybe_sync(ctx) is False  # no cid yet
-    ctx.global_cid = ctx.store.put(canonical_bytes(ctx.global_params))
-    ctx.global_round = 1
-    assert peer.maybe_sync(ctx) is True
-    assert peer.synced_round == 1
-    assert peer.maybe_sync(ctx) is False  # already on this round
-
-
 def test_leader_duty_matches_manual_reconstruction(tmp_path):
     ctx = build_ctx(tmp_path, num_peers=2, num_clusters=2, fanout=0)
     assert ctx.peers[0].peer_iteration(ctx)

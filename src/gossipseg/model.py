@@ -7,6 +7,8 @@ every peer.
 
 Parameters live in one contiguous float64 vector in canonical tensor order
 (lower layers, final weights, final bias); each tensor is a view into it.
+Several models of one geometry can be stacked as the rows of a 2-D
+``(models, size)`` buffer; every tensor view then carries that leading axis.
 The wire encoding is a shape header followed by that vector's bytes.
 Which coordinates of the vector a segment owns is recorded once per
 (geometry, segment) as :class:`SegmentCoords`.
@@ -17,6 +19,7 @@ import functools
 import itertools
 import math
 import struct
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,16 +54,34 @@ class SegmentSpec:
 
 @dataclass(frozen=True, eq=False)
 class SegmentCoords:
-    """The coordinates of ``buf`` one segment owns; read-only, in buffer order.
+    """The coordinates of ``buf`` one segment owns, as ranges in buffer order.
 
-    ``owned`` covers the lower layers plus the segment's rows of the final
-    weights and bias; ``rows`` covers only those final-layer rows;
-    ``foreign`` is every other coordinate, all in the final layer.
+    ``owned`` is the lower layers, the segment's rows of the final weights
+    and its bias entries; ``rows`` is only those two final-layer ranges;
+    ``foreign`` is every other coordinate, all in the final layer.  Some
+    ranges may be empty.
     """
 
-    owned: np.ndarray
-    rows: np.ndarray
-    foreign: np.ndarray
+    owned: tuple[slice, ...]
+    rows: tuple[slice, ...]
+    foreign: tuple[slice, ...]
+
+
+def gather(buf: np.ndarray, ranges: tuple[slice, ...]) -> np.ndarray:
+    """The entries of ``buf`` in ``ranges``, concatenated in order."""
+    return np.concatenate([buf[r] for r in ranges])
+
+
+def split_over(
+    values: np.ndarray, ranges: tuple[slice, ...]
+) -> Iterator[tuple[slice, np.ndarray]]:
+    """Each range with the consecutive part of ``values`` that fills it;
+    the inverse of :func:`gather`."""
+    offset = 0
+    for r in ranges:
+        end = offset + r.stop - r.start
+        yield r, values[offset:end]
+        offset = end
 
 
 class _Layout:
@@ -122,8 +143,11 @@ class ModelParams:
 
     @functools.cached_property
     def _views(self) -> list[np.ndarray]:
-        layout = self._layout
-        return [self.buf[s].reshape(shape) for s, shape in zip(layout.slices, layout.shapes)]
+        layout, lead = self._layout, self.buf.shape[:-1]
+        return [
+            self.buf[..., s].reshape(lead + shape)
+            for s, shape in zip(layout.slices, layout.shapes)
+        ]
 
     @property
     def shapes(self) -> tuple[tuple[int, ...], ...]:
@@ -154,10 +178,15 @@ class ModelParams:
         return list(self._views)
 
     def with_buf(self, buf: np.ndarray) -> "ModelParams":
-        """Parameters of this geometry over the float64 vector ``buf``."""
-        if buf.shape != (self._layout.size,):
+        """Parameters of this geometry over ``buf``: one float64 vector, or
+        a stack of them as the rows of a 2-D array."""
+        if buf.ndim not in (1, 2) or buf.shape[-1] != self._layout.size:
             raise ShapeMismatchError(f"flat vector must have {self._layout.size} entries")
         return ModelParams._over(buf, self._layout)
+
+    def unstacked(self) -> list["ModelParams"]:
+        """One model per row of a stacked buffer, each a view of its row."""
+        return [ModelParams._over(row, self._layout) for row in self.buf]
 
     def copy(self) -> "ModelParams":
         return ModelParams._over(self.buf.copy(), self._layout)
@@ -185,10 +214,18 @@ def segment_boundaries(num_units: int, num_segments: int) -> list[SegmentSpec]:
     return specs
 
 
-def mask_to_segment(update: ModelParams, seg: SegmentSpec) -> ModelParams:
-    """Zero all final-layer rows outside ``seg``; lower layers pass through."""
+def mask_to_segment(
+    update: ModelParams, seg: SegmentSpec | Sequence[SegmentSpec]
+) -> ModelParams:
+    """Zero all final-layer rows outside ``seg``; lower layers pass through.
+
+    A stacked ``update`` takes one segment per model, in row order.
+    """
     masked = update.copy()
-    masked.buf[segment_coords(update, seg).foreign] = 0.0
+    segs = [seg] if isinstance(seg, SegmentSpec) else seg
+    for row, spec in zip(masked.buf.reshape(-1, masked.buf.shape[-1]), segs, strict=True):
+        for r in segment_coords(update, spec).foreign:
+            row[r] = 0.0
     return masked
 
 
@@ -196,22 +233,23 @@ def segment_coords(template: ModelParams, seg: SegmentSpec) -> SegmentCoords:
     """What ``seg`` owns in ``template``'s geometry; built once per pair."""
     layout = template._layout
     if seg not in layout.segments:
-        units = layout.shapes[-1][0]
+        units, width = layout.shapes[-2]
         if seg.end >= units:
             raise ShapeMismatchError(f"segment end {seg.end} outside {units} output units")
-        mask = np.zeros(layout.size, dtype=bool)
-        mask[: layout.final] = True
-        mask[layout.slices[-2]].reshape(layout.shapes[-2])[seg.rows()] = True
-        mask[layout.slices[-1]][seg.rows()] = True
-        tail = mask[layout.final :]
-        coords = SegmentCoords(
-            owned=np.flatnonzero(mask),
-            rows=layout.final + np.flatnonzero(tail),
-            foreign=layout.final + np.flatnonzero(~tail),
+        weights, bias = layout.slices[-2].start, layout.slices[-1].start
+        rows = (
+            slice(weights + seg.start * width, weights + (seg.end + 1) * width),
+            slice(bias + seg.start, bias + seg.end + 1),
         )
-        for array in vars(coords).values():
-            array.flags.writeable = False
-        layout.segments[seg] = coords
+        layout.segments[seg] = SegmentCoords(
+            owned=(slice(0, layout.final), *rows),
+            rows=rows,
+            foreign=(
+                slice(weights, rows[0].start),
+                slice(rows[0].stop, rows[1].start),
+                slice(rows[1].stop, layout.size),
+            ),
+        )
     return layout.segments[seg]
 
 

@@ -29,8 +29,8 @@ from .datasets import (
 )
 from .errors import ConfigurationError
 from .ledger import Ledger, gas_report
-from .model import SegmentSpec, canonical_bytes, segment_boundaries
-from .peer import Peer, RunContext, leader_duty, publish_global
+from .model import SegmentSpec, segment_boundaries
+from .peer import Peer, RunContext, leader_duty, local_steps, publish_global
 from .scheduler import Scheduler
 
 METRICS_HEADER = "tick,peer_id,cluster_id,iteration,loss,accuracy,tokens,cumulative_gas"
@@ -191,14 +191,19 @@ def run_phase1(cfg: RunConfig) -> Phase1Result:
     )
 
 
+def _ledger_state(ctx: RunContext, peer: Peer) -> tuple[int, int]:
+    """The peer's balance and the cumulative gas, as a metrics row shows them."""
+    return ctx.ledger.balance(peer.peer_id), ctx.ledger.cumulative_gas()
+
+
 def _metric_row(
-    ctx: RunContext, tick: int, peer: Peer, accuracy: float, loss: float
+    tick: int, peer: Peer, accuracy: float, loss: float, ledger_state: tuple[int, int]
 ) -> str:
     """One metrics.csv line, in ``METRICS_HEADER`` order."""
+    tokens, gas = ledger_state
     return (
         f"{tick},{peer.peer_id},{peer.segment.cluster_id},{peer.iteration},"
-        f"{loss!r},{accuracy!r},{ctx.ledger.balance(peer.peer_id)},"
-        f"{ctx.ledger.cumulative_gas()}"
+        f"{loss!r},{accuracy!r},{tokens},{gas}"
     )
 
 
@@ -256,9 +261,32 @@ def run_phase2(
     initial_accuracy = dict.fromkeys(sorted(peers), initial_acc)
     rows = [METRICS_VERSION_LINE, METRICS_HEADER]
     for pid in initial_accuracy:
-        rows.append(_metric_row(ctx, 0, peers[pid], initial_acc, initial_loss))
+        state = _ledger_state(ctx, peers[pid])
+        rows.append(_metric_row(0, peers[pid], initial_acc, initial_loss, state))
+
+    def record(tick: int, scored: list[Peer], states: list[tuple[int, int]]) -> list[float]:
+        """Append the peers' metrics rows, scored on the test set in stacked
+        passes; return their accuracies."""
+        scores: list[tuple[float, float]] = []
+        for run in trainer.in_passes(scored, initial_params, len(test_y)):
+            stacked = initial_params.with_buf(np.stack([peer.params.buf for peer in run]))
+            accuracy, loss = trainer.evaluate(stacked, test_x, test_y)
+            scores.extend(zip(accuracy.tolist(), loss.tolist()))
+        for peer, (acc, loss), state in zip(scored, scores, states):
+            rows.append(_metric_row(tick, peer, acc, loss, state))
+        return [acc for acc, _ in scores]
 
     sched = Scheduler()
+    # the peers that wake on each pending tick, in the order they were scheduled
+    due: dict[int, list[Peer]] = {}
+
+    def schedule_wake(peer: Peer, tick: int) -> None:
+        nxt = tick + int(peer.rng.integers(cfg.interval_min, cfg.interval_max + 1))
+        if nxt <= cfg.duration_ticks:
+            if nxt not in due:
+                due[nxt] = []
+                sched.at(nxt, wake)
+            due[nxt].append(peer)
 
     def leader_tick(tick: int) -> None:
         leader_id = ledger.elect_leader(tick)
@@ -270,42 +298,32 @@ def run_phase2(
         if ledger.pending_count():
             ledger.seal_block(tick)
 
-    def make_wake(pid: int):
-        def wake(tick: int) -> None:
-            peer = peers[pid]
+    def wake(tick: int) -> None:
+        woken = due.pop(tick)
+        for peer in woken:
             if ctx.global_round > peer.synced_round:  # retry a failed sync
                 peer.sync_global(ctx)
-            peer.peer_iteration(ctx)
-            acc, loss = trainer.evaluate(peer.params, test_x, test_y)
-            rows.append(_metric_row(ctx, tick, peer, acc, loss))
-            nxt = tick + int(
-                peer.rng.integers(cfg.interval_min, cfg.interval_max + 1)
-            )
-            if nxt <= cfg.duration_ticks:
-                sched.at(nxt, wake)
-
-        return wake
+        states = []
+        for peer, trained in zip(woken, local_steps(woken, cfg.train)):
+            peer.peer_iteration(ctx, trained)
+            states.append(_ledger_state(ctx, peer))
+            schedule_wake(peer, tick)
+        record(tick, woken, states)
 
     for tick in range(cfg.leader_period, cfg.duration_ticks + 1, cfg.leader_period):
         sched.at(tick, leader_tick)
     for tick in range(cfg.seal_period, cfg.duration_ticks + 1, cfg.seal_period):
         sched.at(tick, seal_tick)
     for pid in sorted(peers):
-        first = int(
-            peers[pid].rng.integers(cfg.interval_min, cfg.interval_max + 1)
-        )
-        if first <= cfg.duration_ticks:
-            sched.at(first, make_wake(pid))
+        schedule_wake(peers[pid], 0)
 
     sched.run_until(cfg.duration_ticks)
     if ledger.pending_count():
         ledger.seal_block(cfg.duration_ticks)
 
-    final_accuracy: dict[int, float] = {}
-    for pid in sorted(peers):
-        acc, loss = trainer.evaluate(peers[pid].params, test_x, test_y)
-        final_accuracy[pid] = acc
-        rows.append(_metric_row(ctx, cfg.duration_ticks, peers[pid], acc, loss))
+    final = [peers[pid] for pid in sorted(peers)]
+    accuracy = record(cfg.duration_ticks, final, [_ledger_state(ctx, peer) for peer in final])
+    final_accuracy = {peer.peer_id: acc for peer, acc in zip(final, accuracy)}
 
     out_dir = cfg.resolve_out_dir()
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -320,7 +338,7 @@ def run_phase2(
 
     metrics_path.write_text("\n".join(rows) + "\n", encoding="utf-8")
     write_ledger(ledger, ledger_path, gas_path)
-    model_path.write_bytes(canonical_bytes(ctx.global_params))
+    model_path.write_bytes(ctx.global_bytes)
     save_config(cfg, config_path)
 
     report = RunReport(

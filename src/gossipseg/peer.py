@@ -29,11 +29,14 @@ from .model import (
     ModelParams,
     SegmentSpec,
     canonical_bytes,
+    gather,
     mask_to_segment,
     params_from_bytes,
     segment_coords,
+    split_over,
 )
 from .privacy import clip_and_noise, sigma_at
+from .trainer import TrainConfig
 
 _UPDATE_MAGIC = b"GSU1"
 _UPDATE_VERSION = 1
@@ -113,6 +116,7 @@ class RunContext:
     # set by ``publish_global`` only; round -1 is "no global model yet"
     global_params: ModelParams | None = None
     global_cid: Cid | None = None
+    global_bytes: bytes = b""
     global_round: int = -1
     quarantined: set[str] = field(default_factory=set)
     consumed_log: list[tuple[int, int, str]] = field(default_factory=list)
@@ -204,17 +208,16 @@ class Peer:
 
     # -- local work ----------------------------------------------------------
 
-    def _batch(self, batch_size: int) -> tuple[np.ndarray, np.ndarray]:
-        size = min(batch_size, len(self.labels))
-        idx = self.rng.choice(len(self.labels), size=size, replace=False)
+    def _batches(self, train: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
+        """Features and labels of every local step's batch, stacked by step."""
+        size = min(train.batch_size, len(self.labels))
+        idx = np.stack(
+            [
+                self.rng.choice(len(self.labels), size=size, replace=False)
+                for _ in range(train.local_steps)
+            ]
+        )
         return self.features[idx], self.labels[idx]
-
-    def _local_steps(self, cfg: RunConfig) -> None:
-        for _ in range(cfg.train.local_steps):
-            x, y = self._batch(cfg.train.batch_size)
-            grad = trainer.gradient(self.params, x, y)
-            grad = mask_to_segment(grad, self.segment)
-            self.params = trainer.sgd_step(self.params, grad, cfg.train.learning_rate)
 
     def _privatize(self, ctx: RunContext, delta: np.ndarray) -> np.ndarray:
         """Clipped, noised copy of the delta on this peer's owned coordinates."""
@@ -228,10 +231,13 @@ class Peer:
         signs = self.rng.choice(np.array([-1.0, 1.0]), size=size)
         return ctx.cfg.byzantine_scale * signs
 
-    def _rebased(self, owned: np.ndarray, delta: np.ndarray) -> ModelParams:
-        """The baseline with ``delta`` added on its ``owned`` coordinates."""
-        buf = self.baseline.buf.copy()
-        buf[owned] += delta
+    def _rebased(self, owned: tuple[slice, ...], deltas: list[np.ndarray]) -> ModelParams:
+        """The baseline with each delta added on its ``owned`` coordinates:
+        one stacked model per delta."""
+        buf = np.repeat(self.baseline.buf[None], len(deltas), axis=0)
+        for row, delta in zip(buf, deltas):
+            for r, part in split_over(delta, owned):
+                row[r] += part
         return self.baseline.with_buf(buf)
 
     def _publish(self, ctx: RunContext, payload: bytes) -> Cid | None:
@@ -301,69 +307,72 @@ class Peer:
 
     # -- one gossip iteration -------------------------------------------------
 
-    def peer_iteration(self, ctx: RunContext) -> bool:
-        """Train, publish a privatized delta, pull neighbors, combine, apply.
+    def peer_iteration(self, ctx: RunContext, trained: ModelParams | None = None) -> bool:
+        """Publish a privatized delta, pull neighbors, combine, apply.
 
+        ``trained`` is this peer's ``params`` after its local steps, as
+        :func:`local_steps` returns them; without it the steps run here.
         Returns False when a ledger rejection aborted the iteration.  The
-        abort restores ``params``, ``iteration`` and ``last_published`` and
-        nothing else: the peer's RNG stays advanced, and whatever the
-        iteration did before the rejection remains.  That can be the block
-        written to the store, its queued ``save_hash``, ``validate_update``,
-        reward and penalize transactions, quarantined cids, consumed-log
-        entries and run counters.
+        abort keeps ``params`` and ``iteration`` as they were before training
+        and restores ``last_published``, and nothing else: the peer's RNG
+        stays advanced, and whatever the iteration did before the rejection
+        remains.  That can be the block written to the store, its queued
+        ``save_hash``, ``validate_update``, reward and penalize transactions,
+        quarantined cids, consumed-log entries and run counters.
         """
         cfg = ctx.cfg
+        if trained is None:
+            [trained] = local_steps([self], cfg.train)
         byzantine = self.peer_id in cfg.byzantine_peers
-        snapshot = (self.params.copy(), self.iteration, self.last_published)
+        published_before = self.last_published
         try:
-            self._local_steps(cfg)
             # only owned coordinates are combined; all others keep the baseline
-            owned = segment_coords(self.params, self.segment).owned
-            delta = self.params.buf[owned] - self.baseline.buf[owned]
+            owned = segment_coords(trained, self.segment).owned
+            delta = gather(trained.buf, owned) - gather(self.baseline.buf, owned)
             own = (
                 self._hostile_delta(ctx, delta.size)
                 if byzantine
                 else self._privatize(ctx, delta)
             )
-            _, own_loss = trainer.evaluate(
-                self.params, self.eval_features, self.eval_labels
-            )
+            _, own_loss = trainer.evaluate(trained, self.eval_features, self.eval_labels)
             claimed = 0.0 if byzantine else own_loss
-            published = self.params.with_buf(np.zeros_like(self.params.buf))
-            published.buf[owned] = own
+            published = trained.with_buf(np.zeros_like(trained.buf))
+            for r, part in split_over(own, owned):
+                published.buf[r] = part
             payload = encode_update(
                 published, ctx.global_round, self.peer_id, self.segment.cluster_id, claimed
             )
             self._publish(ctx, payload)
 
-            vectors = [own]
-            for update in self._collect(ctx):
-                pulled = update.delta.buf[owned]
-                candidate = self._rebased(owned, pulled)
-                _, loss_after = trainer.evaluate(
-                    candidate, self.eval_features, self.eval_labels
+            updates = self._collect(ctx)
+            pulled = [gather(update.delta.buf, owned) for update in updates]
+            if pulled:
+                # every candidate is scored on this peer's eval set in one stacked call
+                _, losses = trainer.evaluate(
+                    self._rebased(owned, pulled), self.eval_features, self.eval_labels
                 )
-                verdict = incentive_check(own_loss, loss_after, cfg.penalty_loss_delta)
-                if verdict == REWARD:
-                    ctx.ledger.reward(
-                        update.sender, cfg.reward_amount, reason="loss-improved"
-                    )
-                elif verdict == PENALTY:
-                    ctx.ledger.penalize(
-                        update.sender, cfg.penalty_amount, reason="loss-deviation"
-                    )
-                vectors.append(pulled)
+                for update, loss_after in zip(updates, losses.tolist()):
+                    verdict = incentive_check(own_loss, loss_after, cfg.penalty_loss_delta)
+                    if verdict == REWARD:
+                        ctx.ledger.reward(
+                            update.sender, cfg.reward_amount, reason="loss-improved"
+                        )
+                    elif verdict == PENALTY:
+                        ctx.ledger.penalize(
+                            update.sender, cfg.penalty_amount, reason="loss-deviation"
+                        )
 
+            vectors = [own, *pulled]
             # alone, or too few updates for a feasible trim: pure local progress
             combined = (
                 vectors[0]
                 if len(vectors) == 1
                 else _robust_combine(ctx, vectors, fallback=vectors[0])
             )
-            self.params = self._rebased(owned, combined)
+            [self.params] = self._rebased(owned, [combined]).unstacked()
             self.iteration += 1
         except LedgerError:
-            self.params, self.iteration, self.last_published = snapshot
+            self.last_published = published_before
             ctx.aborted_iterations += 1
             return False
         self._audit_segment(ctx)
@@ -371,11 +380,41 @@ class Peer:
 
     def _audit_segment(self, ctx: RunContext) -> None:
         foreign = segment_coords(self.params, self.segment).foreign
-        if self.params.buf[foreign].tobytes() != self.baseline.buf[foreign].tobytes():
+        if any(
+            self.params.buf[r].tobytes() != self.baseline.buf[r].tobytes() for r in foreign
+        ):
             ctx.segment_violations += 1
 
 
-def leader_duty(leader: Peer, ctx: RunContext) -> Cid | None:
+def local_steps(peers: list[Peer], train: TrainConfig) -> list[ModelParams]:
+    """Every peer's ``params`` after its local SGD steps, in ``peers`` order.
+
+    Peers whose batches have one size train as one stacked computation, in
+    passes cut by :func:`trainer.in_passes`.  Each peer draws its batches
+    from its own RNG, and each stacked model computes bit for bit what it
+    would alone, so a peer's result does not depend on which peers share
+    its stack.  No peer's state but its RNG changes.
+    """
+    batches = [peer._batches(train) for peer in peers]
+    groups: dict[int, list[int]] = {}
+    for i, (_, y) in enumerate(batches):
+        groups.setdefault(y.shape[1], []).append(i)
+    trained: dict[int, ModelParams] = {}
+    for size, group in groups.items():
+        for members in trainer.in_passes(group, peers[group[0]].params, size):
+            # (step, peer, batch row, feature): each step's batches are contiguous
+            x, y = (np.stack([batches[i][k] for i in members], axis=1) for k in (0, 1))
+            stacked = np.stack([peers[i].params.buf for i in members])
+            params = peers[members[0]].params.with_buf(stacked)
+            segments = [peers[i].segment for i in members]
+            for step in range(train.local_steps):
+                grad = mask_to_segment(trainer.gradient(params, x[step], y[step]), segments)
+                params = trainer.sgd_step(params, grad, train.learning_rate)
+            trained.update(zip(members, params.unstacked()))
+    return [trained[i] for i in range(len(peers))]
+
+
+def leader_duty(leader: Peer, ctx: RunContext) -> Cid:
     """Reconstruct the global model from the latest validated round updates.
 
     Per segment, the rows it owns are combined coordinate-wise over its
@@ -385,8 +424,6 @@ def leader_duty(leader: Peer, ctx: RunContext) -> Cid | None:
     round.
     """
     base = ctx.global_params
-    if base is None:
-        return None
     latest = ctx.ledger.hash_records(round_tag=round_tag(ctx.global_round), peers=ctx.peers)
     by_cluster: dict[int, list[np.ndarray]] = {}
     all_flats: list[np.ndarray] = []
@@ -404,7 +441,9 @@ def leader_duty(leader: Peer, ctx: RunContext) -> Cid | None:
             ctx.segment_carryovers += 1
             continue
         rows = segment_coords(base, spec).rows
-        theta.buf[rows] += _robust_combine(ctx, [flat[rows] for flat in flats])
+        combined = _robust_combine(ctx, [gather(flat, rows) for flat in flats])
+        for r, part in split_over(combined, rows):
+            theta.buf[r] += part
     if all_flats:
         lower = slice(0, base.lower_size)
         theta.buf[lower] += _robust_combine(ctx, [flat[lower] for flat in all_flats])
@@ -413,9 +452,11 @@ def leader_duty(leader: Peer, ctx: RunContext) -> Cid | None:
 
 def publish_global(ctx: RunContext, publisher: int, params: ModelParams) -> Cid:
     """Store ``params``, record it under the next ``g*`` tag, advance ``ctx``."""
-    cid = ctx.store.put(canonical_bytes(params))
+    content = canonical_bytes(params)
+    cid = ctx.store.put(content)
     ctx.ledger.save_hash(publisher, cid, global_tag(ctx.global_round + 1))
     ctx.global_params = params
     ctx.global_cid = cid
+    ctx.global_bytes = content
     ctx.global_round += 1
     return cid

@@ -13,10 +13,12 @@ from gossipseg.model import (
     ModelParams,
     SegmentSpec,
     canonical_bytes,
+    gather,
     mask_to_segment,
     params_from_bytes,
     segment_boundaries,
     segment_coords,
+    split_over,
 )
 
 
@@ -108,21 +110,30 @@ def test_with_buf_rejects_wrong_length(rng):
         params.with_buf(np.zeros(3))
 
 
+def indices(ranges):
+    """The coordinates a tuple of ranges covers, in order."""
+    return np.concatenate([np.arange(r.start, r.stop) for r in ranges])
+
+
 def test_segment_coordinate_mask_counts(rng):
     params = make_params(rng, input_dim=5, hidden=4, classes=6)
     spec = SegmentSpec(cluster_id=0, start=1, end=3)
     coords = segment_coords(params, spec)
+    owned, foreign = indices(coords.owned), indices(coords.foreign)
     lower_size = sum(t.size for t in params.lower_layers)
     hidden = params.last_layer_weights.shape[1]
-    assert coords.owned.size == lower_size + spec.size * (hidden + 1)
-    assert coords.owned.size + coords.foreign.size == params.buf.size
+    assert owned.size == lower_size + spec.size * (hidden + 1)
+    assert owned.size + foreign.size == params.buf.size
     # masked delta has zero support outside the owned coordinates
     flat = mask_to_segment(params, spec).buf
-    assert not flat[coords.foreign].any()
-    assert np.array_equal(flat[coords.owned], params.buf[coords.owned])
+    assert not flat[foreign].any()
+    assert np.array_equal(flat[owned], params.buf[owned])
     # built once per geometry and spec, and callers cannot corrupt the cached copy
     assert segment_coords(make_params(rng), spec) is coords
-    assert not any(a.flags.writeable for a in vars(coords).values())
+    assert all(
+        isinstance(ranges, tuple) and all(isinstance(r, slice) for r in ranges)
+        for ranges in vars(coords).values()
+    )
 
 
 def test_segment_coords_index_what_the_segment_owns(rng):
@@ -137,9 +148,23 @@ def test_segment_coords_index_what_the_segment_owns(rng):
     )
     final = tensor_of >= len(params.lower_layers)
     inside = (row_of >= spec.start) & (row_of <= spec.end)
-    assert coords.owned.tolist() == np.flatnonzero(~final | inside).tolist()
-    assert coords.rows.tolist() == np.flatnonzero(final & inside).tolist()
-    assert coords.foreign.tolist() == np.flatnonzero(final & ~inside).tolist()
+    assert indices(coords.owned).tolist() == np.flatnonzero(~final | inside).tolist()
+    assert indices(coords.rows).tolist() == np.flatnonzero(final & inside).tolist()
+    assert indices(coords.foreign).tolist() == np.flatnonzero(final & ~inside).tolist()
+
+
+@pytest.mark.parametrize("start, end", [(0, 1), (2, 3), (4, 5), (0, 5)])
+def test_gather_and_split_over_match_index_arrays(rng, start, end):
+    params = make_params(rng, input_dim=5, hidden=4, classes=6)
+    coords = segment_coords(params, SegmentSpec(cluster_id=0, start=start, end=end))
+    for ranges in vars(coords).values():
+        picked = gather(params.buf, ranges)
+        assert picked.tobytes() == params.buf[indices(ranges)].tobytes()
+        # split_over is the inverse: writing the parts back restores the picks
+        buf = np.zeros_like(params.buf)
+        for r, part in split_over(picked, ranges):
+            buf[r] = part
+        assert buf[indices(ranges)].tobytes() == picked.tobytes()
 
 
 def test_segment_outside_the_final_layer_is_rejected(rng):

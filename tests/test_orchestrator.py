@@ -11,7 +11,7 @@ import pytest
 from conftest import write_idx
 from gossipseg.cli import _RUN_FLAGS, _build_config, build_parser, main
 from gossipseg.config import DataConfig, RunConfig, config_to_dict, load_config, save_config
-from gossipseg.errors import ConfigurationError
+from gossipseg.errors import ConfigurationError, LedgerError
 from gossipseg.ledger import OPERATIONS, gas_report
 from gossipseg.orchestrator import (
     METRICS_HEADER,
@@ -20,6 +20,7 @@ from gossipseg.orchestrator import (
     derive_seed,
     run_full,
     run_phase1,
+    run_phase2,
 )
 from gossipseg.model import canonical_bytes
 from gossipseg.peer import Peer
@@ -169,6 +170,7 @@ def test_full_run_report_and_artifacts(tmp_path):
 
     model_bytes = (out / "global_model.bin").read_bytes()
     assert model_bytes == canonical_bytes(ctx.global_params)
+    assert model_bytes == ctx.store.get(ctx.global_cid)
     assert report.final_global_cid == ctx.global_cid.hex
 
     saved = json.loads((out / "run_report.json").read_text())
@@ -240,6 +242,51 @@ def test_each_peer_syncs_once_per_global_round(tmp_path, monkeypatch):
     # genesis is round 0, so a run of R rounds has R + 1 global models
     assert syncs == {pid: report.global_rounds + 1 for pid in ctx.peers}
     assert all(peer.synced_round == report.global_rounds for peer in ctx.peers.values())
+
+
+def test_rejected_wake_rolls_back_only_that_peer(tmp_path, monkeypatch):
+    # every peer wakes on ticks 4 and 8 and no leader runs; at tick 8 peer 1
+    # publishes, then its validation of a pulled update is refused
+    cfg = tiny_config(tmp_path, num_peers=3, num_clusters=1, fanout=2, interval_min=4,
+                      interval_max=4, duration_ticks=10, leader_period=100)
+    phase1 = run_phase1(cfg)
+    refusing = {"on": False}
+    real_validate = phase1.ledger.validate_update
+
+    def validate(cid, digest, caller):
+        if refusing["on"]:
+            raise LedgerError("synthetic rejection")
+        return real_validate(cid, digest, caller=caller)
+
+    monkeypatch.setattr(phase1.ledger, "validate_update", validate)
+    calls = []
+    real_iteration = Peer.peer_iteration
+
+    def iteration(peer, ctx, trained=None):
+        # local steps have already run for the whole tick, and change no peer state
+        before = (canonical_bytes(peer.params), peer.iteration, peer.last_published)
+        refusing["on"] = peer.peer_id == 1 and peer.iteration == 1
+        ok = real_iteration(peer, ctx, trained)
+        refusing["on"] = False
+        after = (canonical_bytes(peer.params), peer.iteration, peer.last_published)
+        calls.append((peer.peer_id, ok, before, after))
+        return ok
+
+    monkeypatch.setattr(Peer, "peer_iteration", iteration)
+    _, ctx = run_phase2(cfg, phase1)
+
+    assert [(pid, ok) for pid, ok, _, _ in calls] == [
+        (0, True), (1, True), (2, True), (0, True), (1, False), (2, True)
+    ]
+    _, _, before, after = calls[4]
+    assert before[2] is not None and after == before
+    assert ctx.aborted_iterations == 1
+    assert [ctx.peers[pid].iteration for pid in range(3)] == [2, 1, 2]
+    rows = [r.split(",") for r in cfg.resolve_metrics_out().read_text().splitlines()[2:]]
+    by_tick = {t: [r for r in rows if r[0] == t] for t in ("4", "8")}
+    assert [(r[1], r[3]) for r in by_tick["8"]] == [("0", "2"), ("1", "1"), ("2", "2")]
+    # peer 1's model is the one it scored at tick 4, loss and accuracy alike
+    assert by_tick["8"][1][4:6] == by_tick["4"][1][4:6]
 
 
 def test_metrics_file_format(tmp_path):

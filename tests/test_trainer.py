@@ -125,3 +125,86 @@ def test_train_config_defaults():
     assert cfg.learning_rate > 0
     assert cfg.batch_size > 0
     assert cfg.local_steps > 0
+
+
+# -- stacked models ------------------------------------------------------------
+
+SHAPES = [(8, 16, 4), (64, 512, 32)]
+
+
+def stacked_case(shape, models, rows, seed):
+    """``models`` random models of one geometry, each with its own segment,
+    batches of ``rows`` rows for five local steps, and a shared eval set."""
+    from gossipseg.model import segment_boundaries
+
+    input_dim, hidden, classes = shape
+    rng = np.random.default_rng(seed)
+    params = [init_params(input_dim, hidden, classes, rng) for _ in range(models)]
+    specs = segment_boundaries(classes, 3)
+    segments = [specs[i % len(specs)] for i in range(models)]
+    x = rng.normal(size=(5, models, rows, input_dim))
+    y = rng.integers(0, classes, size=(5, models, rows))
+    eval_x = rng.normal(size=(200, input_dim))
+    eval_y = rng.integers(0, classes, size=200)
+    return params, segments, x, y, eval_x, eval_y
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("models", [1, 3])
+@pytest.mark.parametrize("rows", [32, 7])
+def test_stacked_local_steps_match_each_model_alone(shape, models, rows):
+    from gossipseg.model import mask_to_segment
+
+    params, segments, x, y, _, _ = stacked_case(shape, models, rows, seed=models * 10 + rows)
+    alone = []
+    for i, model in enumerate(params):
+        for step in range(5):
+            grad = mask_to_segment(gradient(model, x[step, i], y[step, i]), segments[i])
+            model = sgd_step(model, grad, 0.1)
+        alone.append(model.buf.tobytes())
+
+    stacked = params[0].with_buf(np.stack([p.buf for p in params]))
+    for step in range(5):
+        grad = mask_to_segment(gradient(stacked, x[step], y[step]), segments)
+        stacked = sgd_step(stacked, grad, 0.1)
+    assert [model.buf.tobytes() for model in stacked.unstacked()] == alone
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("models", [1, 3])
+def test_stacked_evaluate_matches_each_model_alone(shape, models):
+    params, _, _, _, eval_x, eval_y = stacked_case(shape, models, 1, seed=models)
+    stacked = params[0].with_buf(np.stack([p.buf for p in params]))
+    accuracy, loss = evaluate(stacked, eval_x, eval_y)
+    # byte-equal floats; a mean over a strided gather of the label entries
+    # would differ from one model's 1-D mean in the last bits
+    alone = [evaluate(p, eval_x, eval_y) for p in params]
+    assert np.array([a for a, _ in alone]).tobytes() == accuracy.tobytes()
+    assert np.array([l for _, l in alone]).tobytes() == loss.tobytes()
+
+
+def test_label_entries_gather_contiguously(rng):
+    from gossipseg.trainer import _label_entries
+
+    logp = rng.normal(size=(3, 50, 4))
+    y = rng.integers(0, 4, size=50)
+    # the strided form this replaces: same values, not C-contiguous
+    strided = logp[:, np.arange(50), y]
+    assert not strided.flags.c_contiguous
+    picked = logp.reshape(-1)[_label_entries(logp, y)]
+    assert picked.flags.c_contiguous
+    assert picked.tobytes() == np.ascontiguousarray(strided).tobytes()
+    for row, model in zip(picked, logp):
+        assert row.mean().tobytes() == model[np.arange(50), y].mean().tobytes()
+
+
+def test_in_passes_keeps_stacked_activations_within_budget():
+    from gossipseg.trainer import STACK_FLOATS, in_passes
+
+    small = init_params(8, 16, 4, np.random.default_rng(0))
+    wide = init_params(64, 512, 32, np.random.default_rng(0))
+    passes = in_passes(list(range(20)), small, 400)
+    assert [len(p) for p in passes] == [2] * 10
+    assert all(len(p) * 400 * 16 <= STACK_FLOATS for p in passes)
+    # a model whose activations alone exceed the budget still runs, one per pass
+    assert in_passes(range(3), wide, 800) == [range(0, 1), range(1, 2), range(2, 3)]

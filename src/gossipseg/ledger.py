@@ -44,7 +44,6 @@ OPERATIONS: Mapping[str, Operation] = MappingProxyType({
     "validate_update": Operation(2, 65_800),
     "penalize": Operation(2, 77_102),
     "reward": Operation(2, 0),
-    "reset_balance": Operation(2, 257_032),
     "elect_leader": Operation(2, 0),
 })
 
@@ -285,12 +284,6 @@ class Ledger:
             str(peer_id),
             {"amount": amount, "reason": reason, "balance": record.tokens},
         )
-        return record.tokens
-
-    def reset_balance(self, peer_id: int) -> int:
-        record = self._require_registered(peer_id)
-        record.tokens = self.initial_tokens
-        self._record("reset_balance", str(peer_id), {"balance": record.tokens})
         return record.tokens
 
     def balance(self, peer_id: int) -> int:

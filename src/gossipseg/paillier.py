@@ -12,14 +12,20 @@ packed several components to a plaintext as in BatchCrypt (Zhang et al.,
 USENIX ATC 2020): each component gets a slot wide enough for the sum over
 every contributor, so homomorphic addition of packed plaintexts adds the
 slots independently and never carries from one slot into the next.
+
+Every modular exponentiation goes through ``_powmod``: OpenSSL's
+constant-time Montgomery exponentiation, reached through the libcrypto that
+the interpreter's own ``_hashlib`` links, or builtin ``pow`` where those
+symbols cannot be reached.  Both give the same integers.
 """
 from __future__ import annotations
 
+import ctypes
 import math
 import random
 import secrets
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -32,6 +38,55 @@ from .errors import (
 
 _MIN_KEY_BITS = 256
 _MR_ROUNDS = 40
+
+
+def _libcrypto_powmod() -> Callable[[int, int, int], int]:
+    """``pow(base, exp, mod)`` for odd ``mod > 1`` by ``BN_mod_exp_mont_consttime``.
+
+    Binds the libcrypto that ``_hashlib`` already links, so nothing is loaded
+    twice; returns builtin ``pow`` where that module or its symbols are missing.
+    """
+    try:
+        import _hashlib
+
+        lib = ctypes.CDLL(_hashlib.__file__)
+        mod_exp = lib.BN_mod_exp_mont_consttime
+        bin2bn, bn2binpad = lib.BN_bin2bn, lib.BN_bn2binpad
+        bn_new, bn_free = lib.BN_new, lib.BN_clear_free
+        ctx_new, ctx_free = lib.BN_CTX_new, lib.BN_CTX_free
+    except (ImportError, AttributeError, OSError):
+        return pow
+    ptr = ctypes.c_void_p
+    bin2bn.argtypes, bin2bn.restype = [ctypes.c_char_p, ctypes.c_int, ptr], ptr
+    bn2binpad.argtypes, bn2binpad.restype = [ptr, ctypes.c_char_p, ctypes.c_int], ctypes.c_int
+    bn_new.argtypes, bn_new.restype = [], ptr
+    bn_free.argtypes, bn_free.restype = [ptr], None
+    ctx_new.argtypes, ctx_new.restype = [], ptr
+    ctx_free.argtypes, ctx_free.restype = [ptr], None
+    mod_exp.argtypes, mod_exp.restype = [ptr] * 6, ctypes.c_int
+
+    def powmod(base: int, exp: int, mod: int) -> int:
+        if not mod & 1:
+            raise ValueError("Montgomery exponentiation needs an odd modulus")
+        size = (mod.bit_length() + 7) // 8
+        raws = [x.to_bytes((x.bit_length() + 7) // 8, "big") for x in (base, exp, mod)]
+        operands = [bin2bn(raw, len(raw), None) for raw in raws]
+        result, ctx = bn_new(), ctx_new()
+        out = ctypes.create_string_buffer(size)
+        try:
+            if not (all(operands) and result and ctx and mod_exp(result, *operands, ctx, None)):
+                raise MemoryError("libcrypto failed to allocate for BN_mod_exp_mont_consttime")
+            bn2binpad(result, out, size)
+            return int.from_bytes(out.raw, "big")
+        finally:
+            for bn in (*operands, result):
+                bn_free(bn)
+            ctx_free(ctx)
+
+    return powmod
+
+
+_powmod = _libcrypto_powmod()
 
 
 @dataclass(frozen=True)
@@ -48,12 +103,10 @@ class PaillierPublicKey:
 
 @dataclass(frozen=True)
 class PaillierPrivateKey:
-    """Textbook ``lam = phi(n)`` and ``mu = phi(n)^-1 mod n``, plus the primes
-    and the constants of CRT decryption: ``hp = L_p(g^(p-1) mod p^2)^-1 mod p``
-    (likewise ``hq``) and ``q_inv = q^-1 mod p``."""
+    """The primes and the constants of CRT decryption:
+    ``hp = L_p(g^(p-1) mod p^2)^-1 mod p`` (likewise ``hq``) and
+    ``q_inv = q^-1 mod p``."""
 
-    lam: int
-    mu: int
     p: int
     q: int
     hp: int
@@ -101,7 +154,7 @@ def _is_probable_prime(candidate: int, rng: random.Random) -> bool:
         s += 1
     for _ in range(_MR_ROUNDS):
         a = rng.randrange(2, candidate - 1)
-        x = pow(a, d, candidate)
+        x = _powmod(a, d, candidate)
         if x in (1, candidate - 1):
             continue
         for _ in range(s - 1):
@@ -142,13 +195,10 @@ def keygen(bits: int = 1024, seed: int | None = None) -> PaillierKeyPair:
         n = p * q
         if n.bit_length() == bits:
             break
-    phi = (p - 1) * (q - 1)
     g = n + 1
     return PaillierKeyPair(
         public=PaillierPublicKey(n=n, g=g),
         private=PaillierPrivateKey(
-            lam=phi,
-            mu=pow(phi, -1, n),
             p=p,
             q=q,
             hp=pow(_crt_half(g, p, 1), -1, p),
@@ -160,7 +210,7 @@ def keygen(bits: int = 1024, seed: int | None = None) -> PaillierKeyPair:
 
 def _crt_half(c: int, prime: int, h: int) -> int:
     """``L_prime(c^(prime-1) mod prime^2) * h mod prime``."""
-    return (pow(c, prime - 1, prime * prime) - 1) // prime * h % prime
+    return (_powmod(c, prime - 1, prime * prime) - 1) // prime * h % prime
 
 
 def encrypt(
@@ -186,7 +236,7 @@ def encrypt(
         if math.gcd(r, pk.n) == 1:
             break
     n_sq = pk.n_squared
-    value = (1 + m * pk.n) % n_sq * pow(r, pk.n, n_sq) % n_sq
+    value = (1 + m * pk.n) % n_sq * _powmod(r, pk.n, n_sq) % n_sq
     return Ciphertext(value=value, modulus=pk.n)
 
 

@@ -48,7 +48,6 @@ def test_gas_table_frozen_costs():
         "penalize": (2, 77_102),
         # election and minting are not metered
         "reward": (2, 0),
-        "reset_balance": (2, 257_032),
         "elect_leader": (2, 0),
     }
     with pytest.raises(TypeError):
@@ -162,7 +161,6 @@ def test_token_incentives(ledger):
     # penalties floor at zero instead of going negative
     assert ledger.penalize(0, 10_000) == 0
     assert ledger.balance(0) == 0
-    assert ledger.reset_balance(0) == 100
     with pytest.raises(LedgerError):
         ledger.reward(99, 5)
     with pytest.raises(LedgerError):

@@ -225,7 +225,7 @@ def test_every_transaction_is_priced_by_the_operation_table(tmp_path):
             assert (tx.contract, tx.gas) == OPERATIONS[tx.op], tx.op
             ops[tx.op] += 1
     # a byzantine peer's updates draw penalties, so every gossip op is seen
-    assert set(ops) == set(OPERATIONS) - {"reset_balance"}
+    assert set(ops) == set(OPERATIONS)
 
 
 def test_each_peer_syncs_once_per_global_round(tmp_path, monkeypatch):

@@ -1,4 +1,5 @@
-"""Additive homomorphism, fixed-point coding, CRT decryption, and the packed mean.
+"""Additive homomorphism, fixed-point coding, CRT decryption, the packed mean,
+and the modular exponentiation every operation rests on.
 
 All tests share one 512-bit key pair; key generation is the slow part.
 """
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gossipseg import paillier
 from gossipseg.errors import (
     ConfigurationError,
     EmptyAggregationError,
@@ -42,7 +44,7 @@ def test_keygen_deterministic_under_seed():
     b = keygen(bits=256, seed=99)
     c = keygen(bits=256, seed=100)
     assert a.public.n == b.public.n
-    assert a.private.lam == b.private.lam
+    assert (a.private.p, a.private.q) == (b.private.p, b.private.q)
     assert a.public.n != c.public.n
 
 
@@ -132,9 +134,11 @@ def test_secure_mean_guards(small_keypair):
 
 
 def textbook_decrypt(c, kp):
-    """``L(c^lambda mod n^2) * mu mod n`` without CRT."""
+    """``L(c^lambda mod n^2) * mu mod n`` without CRT, with ``lambda = (p-1)(q-1)``
+    and ``mu = lambda^-1 mod n``."""
     n = kp.public.n
-    return (pow(c.value, kp.private.lam, n * n) - 1) // n * kp.private.mu % n
+    lam = (kp.private.p - 1) * (kp.private.q - 1)
+    return (pow(c.value, lam, n * n) - 1) // n * pow(lam, -1, n) % n
 
 
 @pytest.mark.parametrize("bits,seed", [(512, 1234), (257, 5), (300, 6)])
@@ -204,3 +208,45 @@ def test_slot_capacity_enforced(small_keypair):
     too_wide = replace(enc[0], width=kp.public.n.bit_length())
     with pytest.raises(ConfigurationError):
         secure_mean([too_wide], kp, scale)
+
+
+@given(data=st.data(), bits=st.integers(min_value=64, max_value=2048))
+def test_powmod_matches_builtin_pow(data, bits):
+    mod = data.draw(st.integers(min_value=2 ** (bits - 1), max_value=2**bits - 1)) | 1
+    base = data.draw(
+        st.one_of(st.just(0), st.integers(0, mod - 1), st.integers(mod, 3 * mod))
+    )
+    exp = data.draw(st.one_of(st.just(0), st.integers(0, 2**bits - 1)))
+    assert paillier._powmod(base, exp, mod) == pow(base, exp, mod)
+
+
+@pytest.mark.parametrize("bits", [64, 512, 1024, 2048])
+def test_powmod_edge_operands_match_builtin_pow(bits):
+    rng = random.Random(bits)
+    mod = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
+    exp = rng.getrandbits(bits)
+    # zero base, bases of at least the modulus, zero exponent
+    cases = [(0, exp), (mod, exp), (mod + 12345, exp), (2 * mod, exp), (rng.randrange(mod), 0)]
+    for base, e in cases + [(0, 0)]:
+        assert paillier._powmod(base, e, mod) == pow(base, e, mod)
+
+
+@pytest.mark.skipif(paillier._powmod is pow, reason="libcrypto is not reachable")
+def test_powmod_rejects_even_modulus():
+    with pytest.raises(ValueError):
+        paillier._powmod(3, 5, 10)
+
+
+def test_builtin_pow_fallback_gives_identical_keys_and_ciphertexts(monkeypatch):
+    def outputs():
+        kp = keygen(bits=512, seed=77)
+        c = encrypt(123456789, kp.public, random.Random(3))
+        vec = encrypt_vector(
+            [0.0, 0.25, 1.0], kp.public, 10**6, random.Random(4), contributors=3
+        )
+        return kp, c, vec, decrypt(c, kp), secure_mean([vec], kp, 10**6).tolist()
+
+    default = outputs()
+    monkeypatch.setattr(paillier, "_powmod", pow)
+    assert outputs() == default
+    assert default[3:] == (123456789, [0.0, 0.25, 1.0])

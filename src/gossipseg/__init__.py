@@ -30,6 +30,6 @@ from .orchestrator import (
 )
 from .peer import Peer, RunContext, incentive_check, leader_duty
 from .privacy import DpConfig, budget_spent, clip_and_noise, sigma_at
-from .trainer import TrainConfig, evaluate, forward_loss, gradient, init_params, sgd_step
+from .trainer import TrainConfig, evaluate, gradient, init_params, sgd_step
 
 __version__ = "0.1.0"

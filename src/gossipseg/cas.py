@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import IntegrityError, InvalidInputError, NotFoundError
@@ -32,17 +32,16 @@ _PACK_NAME = "blocks.pack"
 
 @dataclass(frozen=True, order=True)
 class Cid:
-    """SHA-256 digest of a DAG node encoding."""
+    """SHA-256 digest of a DAG node encoding; its ``hex`` string is made once,
+    and equality, hashing and ordering use ``digest`` alone."""
 
     digest: bytes
+    hex: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.digest) != _DIGEST_LEN:
             raise InvalidInputError("digest must be 32 bytes")
-
-    @property
-    def hex(self) -> str:
-        return self.digest.hex()
+        object.__setattr__(self, "hex", self.digest.hex())
 
     def __str__(self) -> str:
         return self.hex

@@ -5,6 +5,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from pathlib import Path
 
 from .config import RunConfig, load_config, read_input
 from .errors import GossipSegError
@@ -80,18 +81,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(f"global rounds: {report.global_rounds}")
     print(f"final global cid: {report.final_global_cid}")
     print(f"total gas: {report.total_gas}")
-    print(f"artifacts in {cfg.resolve_out_dir()}")
+    print(f"artifacts in {Path(cfg.out_dir)}")
     return 0
 
 
 def _cmd_phase1(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
     phase1 = run_phase1(cfg)
-    out_dir = cfg.resolve_out_dir()
-    out_dir.mkdir(parents=True, exist_ok=True)
-    ledger_path = cfg.resolve_ledger_out()
-    ledger_path.parent.mkdir(parents=True, exist_ok=True)
-    table = write_ledger(phase1.ledger, ledger_path, out_dir / "gas_report.txt")
+    paths = cfg.artifact_paths()
+    for name in ("ledger", "gas_report"):
+        paths[name].parent.mkdir(parents=True, exist_ok=True)
+    table = write_ledger(phase1.ledger, paths["ledger"], paths["gas_report"])
     print(f"cluster assignment: {phase1.assignment.assignment}")
     for spec in sorted(set(phase1.segments.values()), key=lambda s: s.cluster_id):
         print(f"cluster {spec.cluster_id}: rows [{spec.start}, {spec.end}]")
@@ -102,7 +102,7 @@ def _cmd_phase1(args: argparse.Namespace) -> int:
 
 def _cmd_replay(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
-    expected_path = cfg.resolve_out_dir() / "run_report.json"
+    expected_path = cfg.artifact_paths()["report"]
     expected = None
     if expected_path.exists():
         expected = json.loads(expected_path.read_text(encoding="utf-8"))

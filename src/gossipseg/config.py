@@ -107,17 +107,18 @@ class RunConfig:
         if not (math.isfinite(self.byzantine_scale) and self.byzantine_scale > 0):
             raise ConfigurationError("byzantine_scale must be positive and finite")
 
-    def resolve_out_dir(self) -> Path:
-        return Path(self.out_dir)
-
-    def resolve_cas_dir(self) -> Path:
-        return Path(self.cas_dir) if self.cas_dir else self.resolve_out_dir() / "cas"
-
-    def resolve_metrics_out(self) -> Path:
-        return Path(self.metrics_out) if self.metrics_out else self.resolve_out_dir() / "metrics.csv"
-
-    def resolve_ledger_out(self) -> Path:
-        return Path(self.ledger_out) if self.ledger_out else self.resolve_out_dir() / "ledger.txt"
+    def artifact_paths(self) -> dict[str, Path]:
+        """Where a run writes each artifact: the ``cas`` directory, then each file."""
+        out = Path(self.out_dir)
+        return {
+            "cas": Path(self.cas_dir) if self.cas_dir else out / "cas",
+            "metrics": Path(self.metrics_out) if self.metrics_out else out / "metrics.csv",
+            "ledger": Path(self.ledger_out) if self.ledger_out else out / "ledger.txt",
+            "model": out / "global_model.bin",
+            "gas_report": out / "gas_report.txt",
+            "config": out / "config.json",
+            "report": out / "run_report.json",
+        }
 
 
 def config_to_dict(cfg: RunConfig) -> dict:

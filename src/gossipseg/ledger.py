@@ -132,6 +132,7 @@ class Ledger:
             raise LedgerError("initial_tokens must be >= 0")
         self.initial_tokens = initial_tokens
         self._blocks: list[LedgerBlock] = []
+        self._tip = GENESIS_HASH  # the last sealed block's hash
         self._pending: list[Transaction] = []
         # insertion order is registration order; no peer is ever removed
         self._registry: dict[int, PeerRecord] = {}
@@ -296,8 +297,7 @@ class Ledger:
         peers = list(self._registry)
         if not peers:
             raise LedgerError("cannot elect a leader with no registered peers")
-        tip = self._blocks[-1].block_hash() if self._blocks else GENESIS_HASH
-        digest = hashlib.sha256(tip + struct.pack("<q", tick)).digest()
+        digest = hashlib.sha256(self._tip + struct.pack("<q", tick)).digest()
         leader = peers[int.from_bytes(digest, "big") % len(peers)]
         self._record("elect_leader", "scheduler", {"tick": tick, "leader": leader})
         return leader
@@ -309,16 +309,16 @@ class Ledger:
         if not self._pending:
             raise LedgerError("no pending transactions to seal")
         txs = tuple(self._pending)
-        prev = self._blocks[-1].block_hash() if self._blocks else GENESIS_HASH
         block = LedgerBlock(
             height=len(self._blocks),
-            prev_hash=prev,
+            prev_hash=self._tip,
             merkle_root=merkle_root([t.digest() for t in txs]),
             transactions=txs,
             gas_used=self._pending_gas,
             timestamp=tick,
         )
         self._blocks.append(block)
+        self._tip = block.block_hash()
         self._pending = []
         self._sealed_gas += self._pending_gas
         self._pending_gas = 0

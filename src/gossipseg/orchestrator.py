@@ -132,8 +132,11 @@ def run_phase1(cfg: RunConfig) -> Phase1Result:
     The output paths and the data are checked first, so a rejected config
     costs no key generation and leaves nothing on disk.
     """
-    out_dirs = [cfg.resolve_out_dir(), cfg.resolve_cas_dir()]
-    for path in (cfg.resolve_metrics_out(), cfg.resolve_ledger_out()):
+    paths = cfg.artifact_paths()
+    out_dirs = [paths["cas"]]
+    for name, path in paths.items():
+        if name == "cas":
+            continue
         if path.is_dir():
             raise ConfigurationError(f"output file {path} is a directory")
         out_dirs.append(path.parent)
@@ -143,7 +146,7 @@ def run_phase1(cfg: RunConfig) -> Phase1Result:
         if not existing.is_dir():
             raise ConfigurationError(f"output directory {out_dir}: {existing} is not a directory")
     train_data, test_data = build_dataset(cfg)
-    store = BlockStore(cfg.resolve_cas_dir())
+    store = BlockStore(paths["cas"])
     ledger = Ledger(initial_tokens=cfg.initial_tokens)
     keypair = paillier.keygen(cfg.paillier_bits, seed=derive_seed(cfg.seed, "paillier"))
     ledger.deploy_contracts(
@@ -325,21 +328,13 @@ def run_phase2(
     accuracy = record(cfg.duration_ticks, final, [_ledger_state(ctx, peer) for peer in final])
     final_accuracy = {peer.peer_id: acc for peer, acc in zip(final, accuracy)}
 
-    out_dir = cfg.resolve_out_dir()
-    out_dir.mkdir(parents=True, exist_ok=True)
-    metrics_path = cfg.resolve_metrics_out()
-    ledger_path = cfg.resolve_ledger_out()
-    metrics_path.parent.mkdir(parents=True, exist_ok=True)
-    ledger_path.parent.mkdir(parents=True, exist_ok=True)
-    model_path = out_dir / "global_model.bin"
-    report_path = out_dir / "run_report.json"
-    gas_path = out_dir / "gas_report.txt"
-    config_path = out_dir / "config.json"
-
-    metrics_path.write_text("\n".join(rows) + "\n", encoding="utf-8")
-    write_ledger(ledger, ledger_path, gas_path)
-    model_path.write_bytes(ctx.global_bytes)
-    save_config(cfg, config_path)
+    paths = cfg.artifact_paths()
+    for path in paths.values():
+        path.parent.mkdir(parents=True, exist_ok=True)
+    paths["metrics"].write_text("\n".join(rows) + "\n", encoding="utf-8")
+    write_ledger(ledger, paths["ledger"], paths["gas_report"])
+    paths["model"].write_bytes(ctx.global_bytes)
+    save_config(cfg, paths["config"])
 
     report = RunReport(
         initial_accuracy=initial_accuracy,
@@ -360,19 +355,13 @@ def run_phase2(
         consumed_updates=len(ctx.consumed_log),
         trim_fallbacks=ctx.trim_fallbacks,
         artifacts={
-            "metrics": str(metrics_path),
-            "ledger": str(ledger_path),
-            "model": str(model_path),
-            "gas_report": str(gas_path),
-            "config": str(config_path),
+            name: str(path) for name, path in paths.items() if name not in ("cas", "report")
         },
         artifact_digests={
-            "metrics": _file_digest(metrics_path),
-            "ledger": _file_digest(ledger_path),
-            "model": _file_digest(model_path),
+            name: _file_digest(paths[name]) for name in ("metrics", "ledger", "model")
         },
     )
-    report_path.write_text(
+    paths["report"].write_text(
         json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     return report, ctx

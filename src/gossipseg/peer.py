@@ -184,7 +184,6 @@ class Peer:
     rng: np.random.Generator
     synced_round: int = -1
     iteration: int = 0
-    last_published: Cid | None = None
 
     def __post_init__(self) -> None:
         eval_count = min(64, len(self.labels))
@@ -253,10 +252,15 @@ class Peer:
             ctx.ledger.save_hash(self.peer_id, cid, tag)
         if ctx.fault_hook is not None:
             ctx.fault_hook(self.peer_id, cid, self.iteration)
-        self.last_published = cid
         return cid
 
-    def _fetch_validated(self, ctx: RunContext, sender: int, cid: Cid) -> bytes | None:
+    def _pull(self, ctx: RunContext, sender: int, cid: Cid) -> UpdatePayload | None:
+        """Fetch, validate and decode one round update.
+
+        An update that fails the store's re-hash, the ledger's check or
+        decoding to this peer's geometry is flagged; only an accepted update
+        is logged as consumed.
+        """
         if cid.hex in ctx.quarantined:
             return None
         try:
@@ -270,17 +274,6 @@ class Peer:
         # digest is the cid itself
         if not ctx.ledger.validate_update(cid, cid, caller=str(self.peer_id)):
             ctx.flag_bad_update(sender, cid)
-            return None
-        return content
-
-    def _pull(self, ctx: RunContext, sender: int, cid: Cid) -> UpdatePayload | None:
-        """Fetch, validate and decode one round update.
-
-        An update that does not decode to this peer's geometry is flagged
-        like a tampered one; only an accepted update is logged as consumed.
-        """
-        content = self._fetch_validated(ctx, sender, cid)
-        if content is None:
             return None
         try:
             update = decode_update(content)
@@ -307,24 +300,21 @@ class Peer:
 
     # -- one gossip iteration -------------------------------------------------
 
-    def peer_iteration(self, ctx: RunContext, trained: ModelParams | None = None) -> bool:
+    def peer_iteration(self, ctx: RunContext, trained: ModelParams) -> bool:
         """Publish a privatized delta, pull neighbors, combine, apply.
 
         ``trained`` is this peer's ``params`` after its local steps, as
-        :func:`local_steps` returns them; without it the steps run here.
-        Returns False when a ledger rejection aborted the iteration.  The
-        abort keeps ``params`` and ``iteration`` as they were before training
-        and restores ``last_published``, and nothing else: the peer's RNG
-        stays advanced, and whatever the iteration did before the rejection
-        remains.  That can be the block written to the store, its queued
-        ``save_hash``, ``validate_update``, reward and penalize transactions,
-        quarantined cids, consumed-log entries and run counters.
+        :func:`local_steps` returns them.  Returns False when a ledger
+        rejection aborted the iteration.  ``params`` and ``iteration`` are
+        assigned last, so an abort leaves them as they were before training;
+        it undoes nothing else: the peer's RNG stays advanced, and whatever
+        the iteration did before the rejection remains.  That can be the
+        block written to the store, its queued ``save_hash``,
+        ``validate_update``, reward and penalize transactions, quarantined
+        cids, consumed-log entries and run counters.
         """
         cfg = ctx.cfg
-        if trained is None:
-            [trained] = local_steps([self], cfg.train)
         byzantine = self.peer_id in cfg.byzantine_peers
-        published_before = self.last_published
         try:
             # only owned coordinates are combined; all others keep the baseline
             owned = segment_coords(trained, self.segment).owned
@@ -372,7 +362,6 @@ class Peer:
             [self.params] = self._rebased(owned, [combined]).unstacked()
             self.iteration += 1
         except LedgerError:
-            self.last_published = published_before
             ctx.aborted_iterations += 1
             return False
         self._audit_segment(ctx)

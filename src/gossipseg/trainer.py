@@ -21,7 +21,7 @@ from typing import TypeVar
 
 import numpy as np
 
-from .errors import ConfigurationError, ShapeMismatchError
+from .errors import ConfigurationError
 from .model import ModelParams
 
 T = TypeVar("T")
@@ -106,14 +106,6 @@ def _loss(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
     return -(np.add.reduce(picked, axis=-1) / y.shape[-1])
 
 
-def forward_loss(
-    params: ModelParams, x: np.ndarray, y: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy and raw logits for a batch."""
-    _, logits = _forward(params, x)
-    return float(_loss(logits, y)), logits
-
-
 def gradient(params: ModelParams, x: np.ndarray, y: np.ndarray) -> ModelParams:
     """Exact mean-loss gradient with the same geometry as ``params``.
 
@@ -140,11 +132,8 @@ def gradient(params: ModelParams, x: np.ndarray, y: np.ndarray) -> ModelParams:
 
 
 def sgd_step(params: ModelParams, delta: ModelParams, learning_rate: float) -> ModelParams:
-    """One descent step: ``params - learning_rate * delta``."""
-    if learning_rate < 0:
-        raise ConfigurationError("learning_rate must be >= 0")
-    if params.shapes != delta.shapes:
-        raise ShapeMismatchError("parameter geometries differ")
+    """One descent step: ``params - learning_rate * delta``, where ``delta``
+    has the geometry of ``params``, as :func:`gradient` returns it."""
     return params.with_buf(params.buf - delta.buf * learning_rate)
 
 

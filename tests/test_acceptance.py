@@ -12,6 +12,7 @@ import random
 import time
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from gossipseg.paillier import (
     secure_mean,
 )
 from gossipseg.privacy import DpConfig, clip_and_noise, sigma_at
-from gossipseg.trainer import forward_loss, gradient, init_params
+from gossipseg.trainer import evaluate, gradient, init_params
 
 
 def report(number, ok, detail):
@@ -190,8 +191,8 @@ def test_criterion_05_gradient_check():
             plus[i] += h
             minus[i] -= h
             numeric[i] = (
-                forward_loss(params.with_buf(plus), x, y)[0]
-                - forward_loss(params.with_buf(minus), x, y)[0]
+                evaluate(params.with_buf(plus), x, y)[1]
+                - evaluate(params.with_buf(minus), x, y)[1]
             ) / (2 * h)
         rel = float(
             np.linalg.norm(analytic - numeric) / max(np.linalg.norm(numeric), 1e-12)
@@ -331,7 +332,7 @@ def test_criterion_10_determinism(tmp_path):
     for run in range(2):
         cfg = run_config(tmp_path, f"det-{run}", num_peers=4, duration_ticks=80)
         _, rep, _ = run_full(cfg)
-        out = cfg.resolve_out_dir()
+        out = Path(cfg.out_dir)
         outputs.append(
             (
                 (out / "ledger.txt").read_bytes(),

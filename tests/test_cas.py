@@ -124,6 +124,18 @@ def test_cid_must_be_32_bytes():
         Cid(b"short")
 
 
+def test_cid_hex_is_made_once_and_cids_compare_by_digest():
+    digest = hashlib.sha256(b"x").digest()
+    cid = Cid(digest)
+    assert cid.hex is cid.hex
+    assert cid.hex == str(cid) == digest.hex()
+    twin = Cid(digest)
+    assert twin == cid and hash(twin) == hash(cid)
+    assert sorted(Cid(bytes([b]) * 32) for b in (3, 1, 2)) == [
+        Cid(bytes([b]) * 32) for b in (1, 2, 3)
+    ]
+
+
 def test_pack_holds_one_record_per_distinct_block(store):
     contents = [b"name check", b"A" * 16 + b"tail-one", b"A" * 16 + b"tail-two", b"name check"]
     for content in contents:

@@ -136,8 +136,19 @@ def test_trim_must_be_feasible_for_gossip_group():
 
 def test_path_resolution():
     cfg = RunConfig(out_dir="/tmp/x")
-    assert str(cfg.resolve_cas_dir()) == "/tmp/x/cas"
-    assert str(cfg.resolve_metrics_out()) == "/tmp/x/metrics.csv"
-    assert str(cfg.resolve_ledger_out()) == "/tmp/x/ledger.txt"
-    explicit = dataclasses.replace(cfg, cas_dir="/tmp/elsewhere")
-    assert str(explicit.resolve_cas_dir()) == "/tmp/elsewhere"
+    assert {name: str(path) for name, path in cfg.artifact_paths().items()} == {
+        "cas": "/tmp/x/cas",
+        "metrics": "/tmp/x/metrics.csv",
+        "ledger": "/tmp/x/ledger.txt",
+        "model": "/tmp/x/global_model.bin",
+        "gas_report": "/tmp/x/gas_report.txt",
+        "config": "/tmp/x/config.json",
+        "report": "/tmp/x/run_report.json",
+    }
+    explicit = dataclasses.replace(
+        cfg, cas_dir="/tmp/elsewhere", metrics_out="/tmp/m.csv", ledger_out="/tmp/l.txt"
+    )
+    paths = explicit.artifact_paths()
+    assert [str(paths[name]) for name in ("cas", "metrics", "ledger", "model")] == [
+        "/tmp/elsewhere", "/tmp/m.csv", "/tmp/l.txt", "/tmp/x/global_model.bin"
+    ]

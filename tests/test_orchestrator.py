@@ -2,8 +2,11 @@
 
 import dataclasses
 import hashlib
+import importlib
 import json
+import re
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -137,7 +140,7 @@ def test_cli_rejects_idx_test_set_of_another_width_before_setup(tmp_path, capsys
     assert main(["run", "--config", str(config_path)]) == 2
     assert "features per sample" in capsys.readouterr().err
     # rejected before the block store or any artifact exists
-    assert not cfg.resolve_out_dir().exists()
+    assert not Path(cfg.out_dir).exists()
 
 
 def test_phase2_peers_train_on_the_segments_the_ledger_returned(tmp_path):
@@ -151,7 +154,7 @@ def test_full_run_report_and_artifacts(tmp_path):
     cfg = tiny_config(tmp_path)
     phase1, report, ctx = run_full(cfg)
 
-    assert [p.name for p in cfg.resolve_cas_dir().iterdir()] == ["blocks.pack"]
+    assert [p.name for p in cfg.artifact_paths()["cas"].iterdir()] == ["blocks.pack"]
     assert report.segment_violations == 0
     assert report.integrity_alarms == 0
     assert report.global_rounds >= 1
@@ -163,7 +166,7 @@ def test_full_run_report_and_artifacts(tmp_path):
         assert report.tokens[pid] == ctx.ledger.balance(pid)
         assert 0.0 <= report.final_accuracy[pid] <= 1.0
 
-    out = cfg.resolve_out_dir()
+    out = Path(cfg.out_dir)
     for name in ("metrics.csv", "ledger.txt", "global_model.bin",
                  "gas_report.txt", "config.json", "run_report.json"):
         assert (out / name).exists(), name
@@ -262,13 +265,13 @@ def test_rejected_wake_rolls_back_only_that_peer(tmp_path, monkeypatch):
     calls = []
     real_iteration = Peer.peer_iteration
 
-    def iteration(peer, ctx, trained=None):
+    def iteration(peer, ctx, trained):
         # local steps have already run for the whole tick, and change no peer state
-        before = (canonical_bytes(peer.params), peer.iteration, peer.last_published)
+        before = (canonical_bytes(peer.params), peer.iteration)
         refusing["on"] = peer.peer_id == 1 and peer.iteration == 1
         ok = real_iteration(peer, ctx, trained)
         refusing["on"] = False
-        after = (canonical_bytes(peer.params), peer.iteration, peer.last_published)
+        after = (canonical_bytes(peer.params), peer.iteration)
         calls.append((peer.peer_id, ok, before, after))
         return ok
 
@@ -279,10 +282,10 @@ def test_rejected_wake_rolls_back_only_that_peer(tmp_path, monkeypatch):
         (0, True), (1, True), (2, True), (0, True), (1, False), (2, True)
     ]
     _, _, before, after = calls[4]
-    assert before[2] is not None and after == before
+    assert after == before
     assert ctx.aborted_iterations == 1
     assert [ctx.peers[pid].iteration for pid in range(3)] == [2, 1, 2]
-    rows = [r.split(",") for r in cfg.resolve_metrics_out().read_text().splitlines()[2:]]
+    rows = [r.split(",") for r in cfg.artifact_paths()["metrics"].read_text().splitlines()[2:]]
     by_tick = {t: [r for r in rows if r[0] == t] for t in ("4", "8")}
     assert [(r[1], r[3]) for r in by_tick["8"]] == [("0", "2"), ("1", "1"), ("2", "2")]
     # peer 1's model is the one it scored at tick 4, loss and accuracy alike
@@ -292,7 +295,7 @@ def test_rejected_wake_rolls_back_only_that_peer(tmp_path, monkeypatch):
 def test_metrics_file_format(tmp_path):
     cfg = tiny_config(tmp_path)
     _, report, _ = run_full(cfg)
-    lines = (cfg.resolve_out_dir() / "metrics.csv").read_text().splitlines()
+    lines = cfg.artifact_paths()["metrics"].read_text().splitlines()
     assert lines[0] == METRICS_VERSION_LINE
     assert lines[1] == METRICS_HEADER
     rows = [line.split(",") for line in lines[2:]]
@@ -437,6 +440,20 @@ def test_cli_rejects_bad_input(tmp_path, capsys):
         assert not (out / "cas").exists() and not (out / "metrics.csv").exists()
         assert list(directory.iterdir()) == []
 
+    # so is a directory at any artifact path the run composes itself
+    for command, name in (("run", "global_model.bin"), ("run", "run_report.json"),
+                          ("run", "config.json"), ("run", "gas_report.txt"),
+                          ("phase1", "gas_report.txt")):
+        blocked = tmp_path / f"blocked-{command}-{name}"
+        (blocked / name).mkdir(parents=True)
+        assert main([
+            command, "--peers", "4", "--clusters", "2", "--paillier-bits", "512",
+            "--ticks", "30", "--out-dir", str(blocked),
+        ]) == 2, (command, name)
+        assert "is a directory" in capsys.readouterr().err
+        assert [p.name for p in blocked.iterdir()] == [name]
+        assert list((blocked / name).iterdir()) == []
+
     # an output directory, or an output file's parent, that is or lies under
     # an existing non-directory is rejected before any setup
     regular = tmp_path / "a-file"
@@ -460,6 +477,16 @@ def test_cli_rejects_bad_input(tmp_path, capsys):
         assert "is not a directory" in capsys.readouterr().err
         assert sorted(tmp_path.iterdir()) == before
         assert regular.read_text() == "keep"
+
+
+def test_console_script_entry_point_is_callable():
+    # tomllib is missing on Python 3.10, so the table is read with a regex
+    text = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+    table = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", text, re.M | re.S)
+    scripts = dict(re.findall(r'^(\S+)\s*=\s*"([^"]+)"', table.group(1), re.M))
+    assert scripts == {"gossipseg": "gossipseg.cli:main"}
+    module, _, attr = scripts["gossipseg"].partition(":")
+    assert callable(getattr(importlib.import_module(module), attr))
 
 
 def test_cli_rejects_malformed_config_file(tmp_path, capsys):

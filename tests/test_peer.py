@@ -29,6 +29,7 @@ from gossipseg.peer import (
     global_tag,
     incentive_check,
     leader_duty,
+    local_steps,
     round_tag,
 )
 from gossipseg.privacy import DpConfig
@@ -77,6 +78,16 @@ def build_ctx(tmp_path, num_peers=2, num_clusters=2, fanout=1, trim_ratio=0.0,
         global_params=base.copy(),
         global_round=0,
     )
+
+
+def iterate(peer, ctx):
+    [trained] = local_steps([peer], ctx.cfg.train)
+    return peer.peer_iteration(ctx, trained)
+
+
+def published_cid(ctx, pid):
+    """The cid ``pid`` recorded in the current round."""
+    return ctx.ledger.hash_records(round_tag(ctx.global_round), {pid})[pid]
 
 
 def same_params(a, b):
@@ -150,8 +161,8 @@ def test_privatize_identity_inside_ball(tmp_path):
 def test_privatize_noise_confined_to_owned_coordinates(tmp_path):
     ctx = build_ctx(tmp_path, sigma=0.5, clip=1.0)
     peer = ctx.peers[0]
-    assert peer.peer_iteration(ctx)
-    flat = decode_update(ctx.store.get(peer.last_published)).delta.buf
+    assert iterate(peer, ctx)
+    flat = decode_update(ctx.store.get(published_cid(ctx, peer.peer_id))).delta.buf
     coords = segment_coords(peer.params, peer.segment)
     assert not gather(flat, coords.foreign).any()
     assert gather(flat, coords.owned).all()  # gaussian draws are nonzero a.s.
@@ -174,14 +185,13 @@ def test_publish_records_hash_once(tmp_path):
     assert cid1 == cid2
     assert ctx.ledger.hash_records(round_tag="r0", peers={0}) == {0: cid1}
     assert ctx.ledger.has_hash_record(0, cid1, "r0")
-    assert peer.last_published == cid1
 
 
 def test_iteration_keeps_foreign_rows_bitwise(tmp_path):
     ctx = build_ctx(tmp_path, num_peers=4, num_clusters=2, fanout=2)
     for _ in range(3):
         for pid in range(4):
-            assert ctx.peers[pid].peer_iteration(ctx)
+            assert iterate(ctx.peers[pid], ctx)
     assert ctx.segment_violations == 0
     for peer in ctx.peers.values():
         foreign = np.ones(peer.params.num_output_units, dtype=bool)
@@ -204,8 +214,8 @@ def test_iteration_keeps_foreign_rows_bitwise(tmp_path):
 
 def test_gossip_consumption_is_logged(tmp_path):
     ctx = build_ctx(tmp_path, num_peers=2, num_clusters=1, fanout=1)
-    assert ctx.peers[0].peer_iteration(ctx)
-    assert ctx.peers[1].peer_iteration(ctx)
+    assert iterate(ctx.peers[0], ctx)
+    assert iterate(ctx.peers[1], ctx)
     # peer 1 moved second, so peer 0's update was available to it
     consumers = {c for c, _, _ in ctx.consumed_log}
     assert 1 in consumers
@@ -216,16 +226,16 @@ def test_gossip_consumption_is_logged(tmp_path):
 def test_tampered_update_flagged_and_penalized_once(tmp_path):
     ctx = build_ctx(tmp_path, num_peers=2, num_clusters=1, fanout=1)
     sender, consumer = ctx.peers[0], ctx.peers[1]
-    assert sender.peer_iteration(ctx)
-    cid = sender.last_published
+    assert iterate(sender, ctx)
+    cid = published_cid(ctx, 0)
     tamper(ctx.store, cid, -1, 0x01)
 
     balance_before = ctx.ledger.balance(0)
-    assert consumer._fetch_validated(ctx, 0, cid) is None
+    assert consumer._pull(ctx, 0, cid) is None
     assert cid.hex in ctx.quarantined
     assert ctx.integrity_alarms == 1
     # the second consumer hitting the same cid must not double-charge
-    assert sender._fetch_validated(ctx, 0, cid) is None
+    assert sender._pull(ctx, 0, cid) is None
     assert ctx.integrity_alarms == 1
     assert ctx.ledger.balance(0) == balance_before - ctx.cfg.penalty_amount
     assert len(penalize_rows(ctx.ledger)) == 1
@@ -234,7 +244,7 @@ def test_tampered_update_flagged_and_penalized_once(tmp_path):
 def test_unrecorded_cid_fails_validation(tmp_path):
     ctx = build_ctx(tmp_path, num_peers=2, num_clusters=1, fanout=1)
     rogue = ctx.store.put(b"not registered on the ledger")
-    assert ctx.peers[1]._fetch_validated(ctx, 0, rogue) is None
+    assert ctx.peers[1]._pull(ctx, 0, rogue) is None
     assert rogue.hex in ctx.quarantined
     assert len(penalize_rows(ctx.ledger)) == 1
 
@@ -242,11 +252,11 @@ def test_unrecorded_cid_fails_validation(tmp_path):
 def test_quarantined_update_never_enters_aggregation(tmp_path):
     ctx = build_ctx(tmp_path, num_peers=2, num_clusters=1, fanout=1)
     sender, consumer = ctx.peers[0], ctx.peers[1]
-    assert sender.peer_iteration(ctx)
-    cid = sender.last_published
+    assert iterate(sender, ctx)
+    cid = published_cid(ctx, 0)
     ctx.quarantined.add(cid.hex)
     consumed_before = len(ctx.consumed_log)
-    assert consumer.peer_iteration(ctx)
+    assert iterate(consumer, ctx)
     assert all(log_cid != cid.hex for _, _, log_cid in ctx.consumed_log[consumed_before:])
 
 
@@ -260,16 +270,15 @@ def test_ledger_rejection_rolls_back_peer_state(tmp_path, monkeypatch):
         raise LedgerError("synthetic rejection")
 
     monkeypatch.setattr(ctx.ledger, "save_hash", refuse)
-    assert peer.peer_iteration(ctx) is False
+    assert iterate(peer, ctx) is False
     assert same_params(peer.params, before_params)
     assert peer.iteration == before_iter
-    assert peer.last_published is None
     assert ctx.aborted_iterations == 1
 
 
 def test_rejection_after_publish_restores_only_peer_fields(tmp_path, monkeypatch):
     ctx = build_ctx(tmp_path, num_peers=2, num_clusters=1, fanout=1)
-    assert ctx.peers[0].peer_iteration(ctx)
+    assert iterate(ctx.peers[0], ctx)
     peer = ctx.peers[1]
     before_params = peer.params.copy()
     before_rng = peer.rng.bit_generator.state
@@ -279,10 +288,9 @@ def test_rejection_after_publish_restores_only_peer_fields(tmp_path, monkeypatch
 
     # peer 1 publishes, then pulls peer 0's update and is refused validation
     monkeypatch.setattr(ctx.ledger, "validate_update", refuse)
-    assert peer.peer_iteration(ctx) is False
+    assert iterate(peer, ctx) is False
     assert same_params(peer.params, before_params)
     assert peer.iteration == 0
-    assert peer.last_published is None
     assert ctx.aborted_iterations == 1
     # what the iteration did before the rejection stays
     records = ctx.ledger.hash_records(round_tag="r0", peers={1})
@@ -305,16 +313,15 @@ def test_publish_retries_a_store_failure_once(tmp_path, monkeypatch, failures, p
         return real_put(content)
 
     monkeypatch.setattr(ctx.store, "put", flaky_put)
-    assert peer.peer_iteration(ctx)
+    assert iterate(peer, ctx)
     assert peer.iteration == 1
     assert len(attempts) == 2
     records = ctx.ledger.hash_records(round_tag="r0", peers={0})
     if published:
-        assert records == {0: peer.last_published}
+        assert records == {0: real_put(attempts[-1])}
     else:
         assert records == {}
-        assert peer.last_published is None
-
+    
 
 def test_sync_failure_keeps_local_state(tmp_path):
     ctx = build_ctx(tmp_path)
@@ -330,8 +337,8 @@ def test_sync_failure_keeps_local_state(tmp_path):
 
 def test_leader_duty_matches_manual_reconstruction(tmp_path):
     ctx = build_ctx(tmp_path, num_peers=2, num_clusters=2, fanout=0)
-    assert ctx.peers[0].peer_iteration(ctx)
-    assert ctx.peers[1].peer_iteration(ctx)
+    assert iterate(ctx.peers[0], ctx)
+    assert iterate(ctx.peers[1], ctx)
     base = ctx.global_params.copy()
 
     new_cid = leader_duty(ctx.peers[0], ctx)
@@ -370,7 +377,7 @@ def test_leader_duty_matches_manual_reconstruction(tmp_path):
 
 def test_leader_duty_carries_over_silent_segments(tmp_path):
     ctx = build_ctx(tmp_path, num_peers=2, num_clusters=2, fanout=0)
-    assert ctx.peers[0].peer_iteration(ctx)  # only cluster 0 publishes
+    assert iterate(ctx.peers[0], ctx)  # only cluster 0 publishes
     base = ctx.global_params.copy()
     cid = leader_duty(ctx.peers[0], ctx)
     theta = params_from_bytes(ctx.store.get(cid))
@@ -382,8 +389,8 @@ def test_leader_duty_carries_over_silent_segments(tmp_path):
 
 def test_byzantine_peer_publishes_saturated_update(tmp_path):
     ctx = build_ctx(tmp_path, num_peers=2, num_clusters=1, fanout=1, byzantine=(0,))
-    assert ctx.peers[0].peer_iteration(ctx)
-    update = decode_update(ctx.store.get(ctx.peers[0].last_published))
+    assert iterate(ctx.peers[0], ctx)
+    update = decode_update(ctx.store.get(published_cid(ctx, 0)))
     flat = update.delta.buf
     coords = segment_coords(update.delta, ctx.peers[0].segment)
     assert set(np.unique(np.abs(gather(flat, coords.owned)))) == {ctx.cfg.byzantine_scale}
@@ -405,8 +412,8 @@ def test_cluster_mates_match_brute_force(tmp_path):
 def test_leader_duty_counts_trim_fallbacks(tmp_path, trim_ratio, fallbacks):
     # fanout 4 keeps the config valid; with one peer per cluster nobody pulls
     ctx = build_ctx(tmp_path, num_peers=2, num_clusters=2, fanout=4, trim_ratio=trim_ratio)
-    assert ctx.peers[0].peer_iteration(ctx)
-    assert ctx.peers[1].peer_iteration(ctx)
+    assert iterate(ctx.peers[0], ctx)
+    assert iterate(ctx.peers[1], ctx)
     assert ctx.trim_fallbacks == 0
     assert leader_duty(ctx.peers[0], ctx) is not None
     # at 0.2 one update per segment and two for the lower layers are too few to
@@ -437,7 +444,7 @@ def assert_flagged_once(ctx, cid):
 def test_peer_quarantines_update_of_foreign_geometry(tmp_path):
     ctx = build_ctx(tmp_path, num_peers=2, num_clusters=1, fanout=1)
     cid = publish_foreign_geometry(ctx, sender=0)
-    assert ctx.peers[1].peer_iteration(ctx)
+    assert iterate(ctx.peers[1], ctx)
     assert ctx.peers[1].iteration == 1
     assert_flagged_once(ctx, cid)
 
@@ -445,7 +452,7 @@ def test_peer_quarantines_update_of_foreign_geometry(tmp_path):
 def test_leader_quarantines_update_of_foreign_geometry(tmp_path):
     ctx = build_ctx(tmp_path, num_peers=2, num_clusters=2, fanout=0)
     cid = publish_foreign_geometry(ctx, sender=0)
-    assert ctx.peers[1].peer_iteration(ctx)
+    assert iterate(ctx.peers[1], ctx)
     new_cid = leader_duty(ctx.peers[1], ctx)
     assert new_cid is not None and ctx.global_round == 1
     assert [(c, s) for c, s, _ in ctx.consumed_log] == [(1, 1)]
@@ -456,13 +463,13 @@ def test_leader_quarantines_update_of_foreign_geometry(tmp_path):
 def test_single_pulled_update_too_few_to_trim_keeps_own_delta(tmp_path):
     # fanout 4 keeps the config valid; peer 1's only mate is peer 0
     ctx = build_ctx(tmp_path, num_peers=2, num_clusters=1, fanout=4, trim_ratio=0.2)
-    assert ctx.peers[0].peer_iteration(ctx)
+    assert iterate(ctx.peers[0], ctx)
     assert ctx.trim_fallbacks == 0  # a lone own delta is not a combine
     peer = ctx.peers[1]
-    assert peer.peer_iteration(ctx)
+    assert iterate(peer, ctx)
     assert [(c, s) for c, s, _ in ctx.consumed_log] == [(1, 0)]
     assert ctx.trim_fallbacks == 1
-    own = decode_update(ctx.store.get(peer.last_published)).delta
+    own = decode_update(ctx.store.get(published_cid(ctx, peer.peer_id))).delta
     assert peer.params.buf.tobytes() == (peer.baseline.buf + own.buf).tobytes()
 
 
@@ -537,10 +544,10 @@ def test_peer_iteration_matches_full_buffer_reference(tmp_path, trim_ratio, clus
 
     peer._collect = recording_collect
     baseline = peer.baseline.copy()
-    assert peer.peer_iteration(ctx)
+    assert iterate(peer, ctx)
     assert len(collected) == per_combine - 1
 
-    own = decode_update(ctx.store.get(peer.last_published)).delta.buf
+    own = decode_update(ctx.store.get(published_cid(ctx, peer.peer_id))).delta.buf
     vectors = [own] + [mask_to_segment(u.delta, peer.segment).buf for u in collected]
     combined = (
         own if len(vectors) == 1 else reference_combine(vectors, trim_ratio, fallback=own)

@@ -65,8 +65,9 @@ def trimmed_mean(updates: list[np.ndarray], trim_ratio: float) -> np.ndarray:
         raise InfeasibleTrimError(
             f"trim_ratio {trim_ratio} retains no values out of {n}"
         )
-    ordered = np.sort(stacked, axis=0)
-    return ordered[lo:hi].mean(axis=0)
+    # _stack's array is always a fresh copy, so it is sorted in place
+    stacked.sort(axis=0)
+    return stacked[lo:hi].mean(axis=0)
 
 
 def plain_mean(updates: list[np.ndarray]) -> np.ndarray:

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -100,12 +101,24 @@ def _cmd_phase1(args: argparse.Namespace) -> int:
     return 0
 
 
+def _lines(path: Path) -> list[str] | None:
+    return path.read_text(encoding="utf-8").splitlines() if path.is_file() else None
+
+
+def _clip(line: str | None, width: int = 100) -> str:
+    if line is None:
+        return "(no line)"
+    return line if len(line) <= width else line[: width - 3] + "..."
+
+
 def _cmd_replay(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
-    expected_path = cfg.artifact_paths()["report"]
+    prior = cfg.artifact_paths()
     expected = None
-    if expected_path.exists():
-        expected = json.loads(expected_path.read_text(encoding="utf-8"))
+    if prior["report"].exists():
+        expected = json.loads(prior["report"].read_text(encoding="utf-8"))
+    # read before the replay can overwrite them
+    saved = {key: _lines(prior[key]) for key in ("metrics", "ledger")}
     if args.out_dir:
         cfg = dataclasses.replace(cfg, out_dir=args.out_dir, cas_dir=None,
                                   metrics_out=None, ledger_out=None)
@@ -116,12 +129,19 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         return 0
     mismatches = []
     for key in ("ledger", "model", "metrics"):
-        before = expected.get("artifact_digests", {}).get(key)
-        after = report.artifact_digests.get(key)
-        status = "identical" if before == after else "DIFFERS"
-        if before != after:
+        first = None
+        if saved.get(key) is not None:
+            pairs = itertools.zip_longest(saved[key], _lines(cfg.artifact_paths()[key]))
+            first = next(((n, a, b) for n, (a, b) in enumerate(pairs, 1) if a != b), None)
+        recorded = expected.get("artifact_digests", {}).get(key)
+        if first or recorded != report.artifact_digests[key]:
             mismatches.append(key)
-        print(f"{key}: {status}")
+        print(f"{key}: {'DIFFERS' if key in mismatches else 'identical'}")
+        if first:
+            n, old, new = first
+            print(f"  first difference at line {n}:")
+            print(f"    saved:    {_clip(old)}")
+            print(f"    replayed: {_clip(new)}")
     if expected.get("final_global_cid") != report.final_global_cid:
         mismatches.append("final_global_cid")
         print("final_global_cid: DIFFERS")

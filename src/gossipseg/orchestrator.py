@@ -133,6 +133,12 @@ def run_phase1(cfg: RunConfig) -> Phase1Result:
     costs no key generation and leaves nothing on disk.
     """
     paths = cfg.artifact_paths()
+    # no two artifacts may share a file, and the CAS directory holds no artifact
+    cas, *files = [(name, Path(os.path.realpath(path))) for name, path in paths.items()]
+    for i, (name, path) in enumerate(files):
+        for other, taken in (cas, *files[:i]):
+            if path == taken or taken in path.parents or path in taken.parents:
+                raise ConfigurationError(f"{name} path {path} collides with {other} path {taken}")
     out_dirs = [paths["cas"]]
     for name, path in paths.items():
         if name == "cas":
@@ -236,14 +242,13 @@ def run_phase2(
 
     peers: dict[int, Peer] = {}
     for pid in range(cfg.num_peers):
-        shard = phase1.shards[pid]
         peers[pid] = Peer(
             peer_id=pid,
             segment=phase1.segments[pid],
-            params=initial_params.copy(),
-            baseline=initial_params.copy(),
-            features=phase1.train_data.features[shard],
-            labels=phase1.train_data.labels[shard],
+            params=initial_params,
+            baseline=initial_params,
+            train=phase1.train_data,
+            shard=phase1.shards[pid],
             rng=np.random.default_rng(derive_seed(cfg.seed, f"peer{pid}")),
         )
 

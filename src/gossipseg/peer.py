@@ -18,6 +18,7 @@ from . import trainer
 from .aggregation import is_trim_feasible, plain_mean, trimmed_mean
 from .cas import BlockStore, Cid
 from .config import RunConfig
+from .datasets import LabeledDataset
 from .errors import (
     IntegrityError,
     LedgerError,
@@ -175,33 +176,39 @@ def _robust_combine(
 
 @dataclass
 class Peer:
+    """One peer.  ``shard`` indexes this peer's rows of ``train``, the run's
+    one training set; after a sync, ``params`` and ``baseline`` are both the
+    round's read-only global model."""
+
     peer_id: int
     segment: SegmentSpec
     params: ModelParams
     baseline: ModelParams
-    features: np.ndarray
-    labels: np.ndarray
+    train: LabeledDataset
+    shard: np.ndarray
     rng: np.random.Generator
     synced_round: int = -1
     iteration: int = 0
 
     def __post_init__(self) -> None:
-        eval_count = min(64, len(self.labels))
-        self.eval_features = self.features[:eval_count]
-        self.eval_labels = self.labels[:eval_count]
+        rows = self.shard[:64]
+        self.eval_features = self.train.features[rows]
+        self.eval_labels = self.train.labels[rows]
 
     # -- sync ---------------------------------------------------------------
 
     def sync_global(self, ctx: RunContext) -> bool:
-        """Fetch the current global model; keep local state if it fails."""
+        """Adopt the current global model; keep local state if its fetch fails.
+
+        A successful ``get`` has re-hashed the block, so its content is the
+        bytes :func:`publish_global` encoded from ``ctx.global_params``.
+        """
         try:
-            content = ctx.store.get(ctx.global_cid)
-            fresh = params_from_bytes(content)
-        except (IntegrityError, NotFoundError, SerializationError):
+            ctx.store.get(ctx.global_cid)
+        except (IntegrityError, NotFoundError):
             ctx.integrity_alarms += 1
             return False
-        self.params = fresh
-        self.baseline = fresh.copy()
+        self.params = self.baseline = ctx.global_params
         self.synced_round = ctx.global_round
         return True
 
@@ -209,14 +216,15 @@ class Peer:
 
     def _batches(self, train: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
         """Features and labels of every local step's batch, stacked by step."""
-        size = min(train.batch_size, len(self.labels))
+        size = min(train.batch_size, len(self.shard))
         idx = np.stack(
             [
-                self.rng.choice(len(self.labels), size=size, replace=False)
+                self.rng.choice(len(self.shard), size=size, replace=False)
                 for _ in range(train.local_steps)
             ]
         )
-        return self.features[idx], self.labels[idx]
+        rows = self.shard[idx]
+        return self.train.features[rows], self.train.labels[rows]
 
     def _privatize(self, ctx: RunContext, delta: np.ndarray) -> np.ndarray:
         """Clipped, noised copy of the delta on this peer's owned coordinates."""
@@ -442,6 +450,10 @@ def leader_duty(leader: Peer, ctx: RunContext) -> Cid:
 def publish_global(ctx: RunContext, publisher: int, params: ModelParams) -> Cid:
     """Store ``params``, record it under the next ``g*`` tag, advance ``ctx``."""
     content = canonical_bytes(params)
+    # every synced peer holds this one object, so it becomes read-only, and
+    # so do tensor views made before this call
+    for array in (params.buf, *params.tensors()):
+        array.flags.writeable = False
     cid = ctx.store.put(content)
     ctx.ledger.save_hash(publisher, cid, global_tag(ctx.global_round + 1))
     ctx.global_params = params

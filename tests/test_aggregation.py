@@ -141,3 +141,25 @@ def test_trim_config_validation():
     with pytest.raises(Exception):
         TrimConfig(trim_ratio=-0.1)
     TrimConfig(trim_ratio=0.49)
+
+
+@given(
+    columns=st.lists(
+        st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, 1e300, -1e-300]),
+                 min_size=3, max_size=3),
+        min_size=1, max_size=12,
+    ),
+    ratio=st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.45]),
+)
+def test_in_place_sort_matches_copying_sort_bitwise(columns, ratio):
+    # few distinct values, so ties and signed zeros are common
+    vectors = [np.array(column) for column in columns]
+    before = [v.tobytes() for v in vectors]
+    lo, hi = trim_bounds(len(vectors), ratio)
+    if hi <= lo:
+        return
+    got = trimmed_mean(vectors, ratio)
+    want = np.sort(np.stack(vectors), axis=0)[lo:hi].mean(axis=0)
+    assert got.tobytes() == want.tobytes()
+    assert [v.tobytes() for v in vectors] == before
+    assert not any(np.shares_memory(got, v) for v in vectors)

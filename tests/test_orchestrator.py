@@ -362,6 +362,24 @@ def test_cli_phase1_creates_ledger_parent_directory(tmp_path, capsys):
     assert ledger.is_file() and ledger.read_text().strip()
 
 
+def test_peers_share_the_training_set_and_the_global_model(tmp_path):
+    cfg = tiny_config(tmp_path)
+    phase1 = run_phase1(cfg)
+    _, ctx = run_phase2(cfg, phase1)
+    train = phase1.train_data
+    assert not ctx.global_params.buf.flags.writeable
+    for pid, peer in ctx.peers.items():
+        assert peer.train is train
+        assert np.array_equal(peer.shard, phase1.shards[pid])
+        arrays = {name for name, value in vars(peer).items() if isinstance(value, np.ndarray)}
+        # beyond its shard indices, a peer copies only its eval rows
+        assert arrays == {"shard", "eval_features", "eval_labels"}
+        assert len(peer.eval_labels) <= 64
+        for name in arrays:
+            for shared in (train.features, train.labels):
+                assert not np.shares_memory(getattr(peer, name), shared)
+
+
 def test_cli_replay_detects_match_and_mismatch(tmp_path, capsys):
     out = tmp_path / "original"
     assert main([
@@ -387,6 +405,36 @@ def test_cli_replay_detects_match_and_mismatch(tmp_path, capsys):
         "--out-dir", str(tmp_path / "replayed-2"),
     ]) == 1
     assert "DIFFERS" in capsys.readouterr().out
+
+
+def test_cli_replay_names_the_first_differing_line(tmp_path, capsys):
+    out = tmp_path / "original"
+    assert main([
+        "run", "--peers", "4", "--clusters", "2", "--ticks", "30",
+        "--seed", "6", "--paillier-bits", "512", "--out-dir", str(out),
+    ]) == 0
+    capsys.readouterr()
+    config_path = out / "config.json"
+    assert main(["replay", "--config", str(config_path),
+                 "--out-dir", str(tmp_path / "replayed")]) == 0
+    stdout = capsys.readouterr().out
+    assert stdout.count(": identical") == 3 and "first difference" not in stdout
+
+    metrics = out / "metrics.csv"
+    lines = metrics.read_text().splitlines()
+    original = lines[4]
+    lines[4] = original.replace(",", ";", 1)
+    metrics.write_text("\n".join(lines) + "\n")
+    assert main(["replay", "--config", str(config_path),
+                 "--out-dir", str(tmp_path / "replayed-2")]) == 1
+    stdout = capsys.readouterr().out
+    assert "ledger: identical" in stdout and "model: identical" in stdout
+    assert (
+        "metrics: DIFFERS\n"
+        "  first difference at line 5:\n"
+        f"    saved:    {lines[4]}\n"
+        f"    replayed: {original}\n"
+    ) in stdout
 
 
 def test_cli_gas_report(tmp_path, capsys):
@@ -477,6 +525,28 @@ def test_cli_rejects_bad_input(tmp_path, capsys):
         assert "is not a directory" in capsys.readouterr().err
         assert sorted(tmp_path.iterdir()) == before
         assert regular.read_text() == "keep"
+
+    # two artifacts at one path, or a CAS directory that is, lies under or
+    # contains an artifact file, are rejected before any setup
+    collide = tmp_path / "collide"
+    for command, flags in (
+        ("run", ["--metrics-out", collide / "same.txt", "--ledger-out", collide / "same.txt"]),
+        ("run", ["--metrics-out", collide / "global_model.bin"]),
+        ("run", ["--ledger-out", collide / "sub" / ".." / "config.json"]),
+        ("run", ["--metrics-out", collide / "ledger.txt" / "m.csv"]),
+        ("run", ["--cas-dir", collide / "ledger.txt" / "x"]),
+        ("run", ["--cas-dir", collide / "gas_report.txt"]),
+        ("run", ["--metrics-out", collide / "cas" / "m.csv"]),
+        ("run", ["--cas-dir", collide.parent]),
+        ("phase1", ["--ledger-out", collide / "gas_report.txt"]),
+    ):
+        assert main([
+            command, "--peers", "4", "--clusters", "2", "--paillier-bits", "256",
+            "--ticks", "30", "--out-dir", str(collide), *map(str, flags),
+        ]) == 2, (command, flags)
+        assert "collides with" in capsys.readouterr().err
+        assert not collide.exists()
+        assert sorted(tmp_path.iterdir()) == before
 
 
 def test_console_script_entry_point_is_callable():

@@ -7,8 +7,8 @@ from conftest import tamper
 from gossipseg.aggregation import TrimConfig, is_trim_feasible, plain_mean, trimmed_mean
 from gossipseg.cas import BlockStore, Cid
 from gossipseg.config import DataConfig, RunConfig
-from gossipseg.datasets import synthetic_blobs
-from gossipseg.errors import LedgerError, SerializationError
+from gossipseg.datasets import LabeledDataset, synthetic_blobs
+from gossipseg.errors import IntegrityError, LedgerError, NotFoundError, SerializationError
 from gossipseg.ledger import Ledger
 from gossipseg.model import (
     canonical_bytes,
@@ -30,6 +30,7 @@ from gossipseg.peer import (
     incentive_check,
     leader_duty,
     local_steps,
+    publish_global,
     round_tag,
 )
 from gossipseg.privacy import DpConfig
@@ -66,8 +67,8 @@ def build_ctx(tmp_path, num_peers=2, num_clusters=2, fanout=1, trim_ratio=0.0,
             segment=specs[cluster],
             params=base.copy(),
             baseline=base.copy(),
-            features=data.features,
-            labels=data.labels,
+            train=data,
+            shard=np.arange(len(data.labels)),
             rng=np.random.default_rng(100 + pid),
         )
     return RunContext(
@@ -580,3 +581,58 @@ def test_audit_counts_one_ulp_write_to_a_foreign_row(tmp_path, tensor):
     values[foreign_row] = np.nextafter(values[foreign_row], np.inf)
     peer._audit_segment(ctx)
     assert ctx.segment_violations == 1
+
+
+def test_synced_peers_share_one_read_only_global_model(tmp_path):
+    ctx = build_ctx(tmp_path, num_peers=4, num_clusters=2, fanout=1)
+    publish_global(ctx, 0, ctx.global_params)
+    for stage in ("genesis", "leader round"):
+        for peer in ctx.peers.values():
+            assert peer.sync_global(ctx), stage
+            assert peer.params is ctx.global_params and peer.baseline is ctx.global_params
+        shared = ctx.global_params
+        for array in (shared.buf, shared.last_layer_weights, shared.lower_layers[0]):
+            with pytest.raises(ValueError):
+                array[0] += 1.0
+        for peer in ctx.peers.values():
+            assert iterate(peer, ctx)
+            # training gives the peer a model of its own; its baseline stays shared
+            assert peer.params.buf.flags.writeable and peer.baseline is shared
+        leader_duty(ctx.peers[0], ctx)
+        assert ctx.global_params is not shared
+
+
+@pytest.mark.parametrize("error", [IntegrityError, NotFoundError])
+def test_failed_global_fetch_keeps_the_previous_baseline_object(tmp_path, monkeypatch, error):
+    ctx = build_ctx(tmp_path)
+    publish_global(ctx, 0, ctx.global_params)
+    peer = ctx.peers[0]
+    params, baseline = peer.params, peer.baseline
+
+    def failing_get(cid):
+        raise error("fetch failed")
+
+    monkeypatch.setattr(ctx.store, "get", failing_get)
+    assert peer.sync_global(ctx) is False
+    assert peer.baseline is baseline and peer.params is params
+    assert ctx.integrity_alarms == 1 and peer.synced_round == -1
+
+
+def test_shard_indices_draw_the_rows_a_copied_shard_draws(tmp_path):
+    data = synthetic_blobs(4, 60, 4, np.random.default_rng(0))
+    shard = np.random.default_rng(5).choice(len(data.labels), size=90, replace=False)
+    copied = LabeledDataset(data.features[shard], data.labels[shard], data.num_classes)
+    base = init_params(4, 6, 4, np.random.default_rng(1))
+    spec = segment_boundaries(4, 2)[0]
+    shared, private = (
+        Peer(peer_id=0, segment=spec, params=base, baseline=base, train=train,
+             shard=rows, rng=np.random.default_rng(7))
+        for train, rows in ((data, shard), (copied, np.arange(len(shard))))
+    )
+    assert shared.eval_features.tobytes() == private.eval_features.tobytes()
+    assert shared.eval_labels.tobytes() == private.eval_labels.tobytes()
+    assert len(shared.eval_labels) == 64
+    for batch_size in (16, 200):  # a batch of the whole shard too
+        train = TrainConfig(batch_size=batch_size)
+        for got, want in zip(shared._batches(train), private._batches(train)):
+            assert got.tobytes() == want.tobytes()

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from .aggregation import TrimConfig, plain_mean, trimmed_mean
 from .cas import BlockStore, Cid
-from .clustering import ClusterAssignment, CryptoContext, one_shot_cluster
+from .clustering import ClusterAssignment, one_shot_cluster
 from .config import DataConfig, RunConfig, load_config, save_config
 from .datasets import (
     LabeledDataset,
@@ -29,7 +29,7 @@ from .orchestrator import (
     run_phase2,
 )
 from .peer import Peer, RunContext, incentive_check, leader_duty
-from .privacy import DpConfig, budget_spent, clip_and_noise, sigma_at
+from .privacy import DpConfig, clip_and_noise, sigma_at
 from .trainer import TrainConfig, evaluate, gradient, init_params, sgd_step
 
 __version__ = "0.1.0"

@@ -18,15 +18,6 @@ from .errors import ConfigurationError
 from .privacy import clip_and_noise
 
 
-@dataclass(frozen=True)
-class CryptoContext:
-    """Key pair, fixed-point scale, and blinding randomness for aggregation."""
-
-    keypair: paillier.PaillierKeyPair
-    scale: int = 10**6
-    rng: random.Random | None = None
-
-
 @dataclass
 class ClusterAssignment:
     """Peer-to-cluster map plus the securely aggregated cluster centroids."""
@@ -85,7 +76,8 @@ def one_shot_cluster(
     distributions: Mapping[int, LabelDistribution],
     num_clusters: int,
     rng: np.random.Generator,
-    crypto: CryptoContext,
+    keypair: paillier.PaillierKeyPair,
+    blinding: random.Random | None,
     assignment_sigma: float = 0.0,
     assignment_clip: float = 1.0,
 ) -> ClusterAssignment:
@@ -95,7 +87,8 @@ def one_shot_cluster(
     ``assignment_sigma`` is positive, clipped Gaussian noise is added to the
     plaintext vectors used for seeding and assignment; centroid aggregation
     always uses the true distributions, one packed encryption per peer per
-    chunk of slots.
+    chunk of slots under ``keypair``, blinded from ``blinding`` (OS entropy
+    when it is None).
     Empty clusters are repaired by moving in the peer farthest from its
     assigned centroid, taken from a cluster that keeps at least one member.
     """
@@ -130,13 +123,12 @@ def one_shot_cluster(
         encrypted = [
             paillier.encrypt_vector(
                 distributions[p].probs,
-                crypto.keypair.public,
-                crypto.scale,
-                crypto.rng,
+                keypair.public,
+                blinding,
                 contributors=contributors,
             )
             for p in members
         ]
-        centroids.append(paillier.secure_mean(encrypted, crypto.keypair, crypto.scale))
+        centroids.append(paillier.secure_mean(encrypted, keypair))
     assignment = {peer_ids[i]: int(labels[i]) for i in range(len(peer_ids))}
     return ClusterAssignment(assignment=assignment, centroids=centroids)

@@ -41,6 +41,8 @@ class DataConfig:
             raise ConfigurationError("need at least two classes")
         if self.samples_per_class < 1 or self.test_per_class < 1 or self.input_dim < 1:
             raise ConfigurationError("dataset sizes must be positive")
+        if not (0 <= self.center_scale < math.inf and 0 <= self.spread < math.inf):
+            raise ConfigurationError("center_scale and spread must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -79,8 +81,8 @@ class RunConfig:
             raise ConfigurationError("num_clusters must lie in [1, num_peers]")
         if self.num_clusters > self.data.num_classes:
             raise ConfigurationError("more clusters than output units to segment")
-        if self.beta <= 0:
-            raise ConfigurationError("beta must be positive")
+        if not 0 < self.beta < math.inf:
+            raise ConfigurationError("beta must be positive and finite")
         if self.duration_ticks < 0:
             raise ConfigurationError("duration_ticks must be >= 0")
         if self.leader_period < 1 or self.seal_period < 1:
@@ -99,8 +101,8 @@ class RunConfig:
             raise ConfigurationError("paillier_bits must be >= 256")
         if min(self.initial_tokens, self.reward_amount, self.penalty_amount) < 0:
             raise ConfigurationError("token amounts must be >= 0")
-        if self.penalty_loss_delta < 0:
-            raise ConfigurationError("penalty_loss_delta must be >= 0")
+        if not 0 <= self.penalty_loss_delta < math.inf:
+            raise ConfigurationError("penalty_loss_delta must be finite and >= 0")
         for pid in self.byzantine_peers:
             if not 0 <= pid < self.num_peers:
                 raise ConfigurationError(f"byzantine peer {pid} out of range")

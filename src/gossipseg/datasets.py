@@ -1,6 +1,7 @@
 """Synthetic data generation, IDX loading, and Dirichlet non-IID partitioning."""
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -71,8 +72,15 @@ def synthetic_blobs(
 
 
 def load_idx_array(path: str | Path) -> np.ndarray:
-    """Parse one IDX file (big-endian magic, dims, then raw values)."""
-    raw = Path(path).read_bytes()
+    """Parse one IDX file (big-endian magic, dims, then raw values).
+
+    A file that cannot be read is a rejected input; a header cut short, or a
+    payload that is not exactly the values its dims give, does not parse.
+    """
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read {path}: {exc}") from exc
     if len(raw) < 4:
         raise SerializationError("IDX file too short")
     zero1, zero2, dtype_code, ndim = struct.unpack_from(">BBBB", raw, 0)
@@ -84,29 +92,33 @@ def load_idx_array(path: str | Path) -> np.ndarray:
     offset = 4
     dims = []
     for _ in range(ndim):
+        if len(raw) < offset + 4:
+            raise SerializationError("IDX header shorter than its dims")
         (d,) = struct.unpack_from(">I", raw, offset)
         dims.append(d)
         offset += 4
-    arr = np.frombuffer(raw, dtype=dtypes[dtype_code], offset=offset)
-    expected = int(np.prod(dims)) if dims else 0
-    if arr.size != expected:
+    dtype = np.dtype(dtypes[dtype_code])
+    expected = math.prod(dims)
+    if len(raw) - offset != expected * dtype.itemsize:
         raise SerializationError("IDX payload size does not match dims")
-    return arr.reshape(dims).copy()
+    return np.frombuffer(raw, dtype=dtype, offset=offset).reshape(dims).copy()
 
 
 def load_idx_dataset(
     images_path: str | Path,
     labels_path: str | Path,
     num_classes: int,
-    normalize: bool = True,
 ) -> LabeledDataset:
-    """Build a dataset from an IDX image file and an IDX label file."""
+    """Build a dataset from an IDX image file and an IDX label file.
+
+    Images whose largest value is above 1 are divided by 255.
+    """
     images = load_idx_array(images_path).astype(np.float64)
     labels = load_idx_array(labels_path).astype(np.int64)
-    if images.ndim < 2:
-        raise SerializationError("image array must have at least 2 dims")
+    if images.ndim < 2 or images.size == 0:
+        raise SerializationError("image array must have at least 2 dims and one value")
     images = images.reshape(images.shape[0], -1)
-    if normalize and images.max() > 1.0:
+    if images.max() > 1.0:
         images = images / 255.0
     return LabeledDataset(images, labels, num_classes)
 

@@ -31,7 +31,7 @@ class LedgerError(GossipSegError):
 
 
 class SchedulingError(GossipSegError):
-    """A round index lies outside the configured schedule."""
+    """A tick lies before the scheduler's clock, or a round outside the noise schedule."""
 
 
 class InfeasibleTrimError(GossipSegError):

@@ -110,13 +110,6 @@ def merkle_root(digests: list[bytes]) -> bytes:
     return level[0]
 
 
-@dataclass
-class PeerRecord:
-    peer_id: int
-    credential: str
-    tokens: int
-
-
 class Ledger:
     """Single-writer ledger.
 
@@ -134,8 +127,9 @@ class Ledger:
         self._blocks: list[LedgerBlock] = []
         self._tip = GENESIS_HASH  # the last sealed block's hash
         self._pending: list[Transaction] = []
-        # insertion order is registration order; no peer is ever removed
-        self._registry: dict[int, PeerRecord] = {}
+        # each registered peer's token balance; insertion order is
+        # registration order, and no peer is ever removed
+        self._balances: dict[int, int] = {}
         self._credentials: set[str] = set()
         self._clustered = False
         self._segments: dict[int, SegmentSpec] = {}
@@ -161,11 +155,9 @@ class Ledger:
         self._pending_gas += tx.gas
         return tx
 
-    def _require_registered(self, peer_id: int) -> PeerRecord:
-        record = self._registry.get(peer_id)
-        if record is None:
+    def _require_registered(self, peer_id: int) -> None:
+        if peer_id not in self._balances:
             raise LedgerError(f"peer {peer_id} is not registered")
-        return record
 
     # -- contract #1: registration, clustering, segmentation ----------------
 
@@ -176,20 +168,18 @@ class Ledger:
         self._record("deploy_contract_2", "genesis", {})
         self._deployed = True
 
-    def register(self, peer_id: int, credential: str) -> PeerRecord:
-        if peer_id in self._registry:
+    def register(self, peer_id: int, credential: str) -> None:
+        if peer_id in self._balances:
             raise LedgerError(f"peer {peer_id} already registered")
         if credential in self._credentials:
             raise LedgerError("credential already registered")
-        record = PeerRecord(peer_id=peer_id, credential=credential, tokens=self.initial_tokens)
-        self._registry[peer_id] = record
+        self._balances[peer_id] = self.initial_tokens
         self._credentials.add(credential)
         self._record(
             "register",
             str(peer_id),
             {"credential_digest": hashlib.sha256(credential.encode()).hexdigest()},
         )
-        return record
 
     def save_cluster_centers(self, centroids: list[np.ndarray], caller: int) -> None:
         self._require_registered(caller)
@@ -264,37 +254,38 @@ class Ledger:
         return ok
 
     def penalize(self, peer_id: int, amount: int, reason: str = "") -> int:
-        record = self._require_registered(peer_id)
+        self._require_registered(peer_id)
         if amount < 0:
             raise LedgerError("penalty amount must be >= 0")
-        record.tokens = max(0, record.tokens - amount)
+        self._balances[peer_id] = max(0, self._balances[peer_id] - amount)
         self._record(
             "penalize",
             str(peer_id),
-            {"amount": amount, "reason": reason, "balance": record.tokens},
+            {"amount": amount, "reason": reason, "balance": self._balances[peer_id]},
         )
-        return record.tokens
+        return self._balances[peer_id]
 
     def reward(self, peer_id: int, amount: int, reason: str = "") -> int:
-        record = self._require_registered(peer_id)
+        self._require_registered(peer_id)
         if amount < 0:
             raise LedgerError("reward amount must be >= 0")
-        record.tokens += amount
+        self._balances[peer_id] += amount
         self._record(
             "reward",
             str(peer_id),
-            {"amount": amount, "reason": reason, "balance": record.tokens},
+            {"amount": amount, "reason": reason, "balance": self._balances[peer_id]},
         )
-        return record.tokens
+        return self._balances[peer_id]
 
     def balance(self, peer_id: int) -> int:
-        return self._require_registered(peer_id).tokens
+        self._require_registered(peer_id)
+        return self._balances[peer_id]
 
     # -- chain ---------------------------------------------------------------
 
     def elect_leader(self, tick: int) -> int:
         """Uniform choice over registered peers, derived from tip hash and tick."""
-        peers = list(self._registry)
+        peers = list(self._balances)
         if not peers:
             raise LedgerError("cannot elect a leader with no registered peers")
         digest = hashlib.sha256(self._tip + struct.pack("<q", tick)).digest()

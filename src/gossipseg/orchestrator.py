@@ -18,7 +18,7 @@ import numpy as np
 
 from . import paillier, trainer
 from .cas import BlockStore
-from .clustering import ClusterAssignment, CryptoContext, one_shot_cluster
+from .clustering import ClusterAssignment, one_shot_cluster
 from .config import RunConfig, save_config
 from .datasets import (
     LabeledDataset,
@@ -169,14 +169,13 @@ def run_phase1(cfg: RunConfig) -> Phase1Result:
     distributions = {
         pid: label_distribution(shards[pid], train_data) for pid in range(cfg.num_peers)
     }
-    blinding = random.Random(derive_seed(cfg.seed, "blinding"))
-    crypto = CryptoContext(keypair, rng=blinding)
     cluster_rng = np.random.default_rng(derive_seed(cfg.seed, "clustering"))
     assignment = one_shot_cluster(
         distributions,
         cfg.num_clusters,
         cluster_rng,
-        crypto,
+        keypair,
+        random.Random(derive_seed(cfg.seed, "blinding")),
         assignment_sigma=cfg.dp.sigma_max if cfg.cluster_dp else 0.0,
         assignment_clip=cfg.dp.clip_norm,
     )

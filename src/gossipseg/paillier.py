@@ -38,6 +38,8 @@ from .errors import (
 
 _MIN_KEY_BITS = 256
 _MR_ROUNDS = 40
+# every fixed-point encoding is round(x * SCALE); decoding divides by it
+SCALE = 10**6
 
 
 def _libcrypto_powmod() -> Callable[[int, int, int], int]:
@@ -257,19 +259,11 @@ def add(c1: Ciphertext, c2: Ciphertext, pk: PaillierPublicKey) -> Ciphertext:
     return Ciphertext(value=c1.value * c2.value % pk.n_squared, modulus=pk.n)
 
 
-def encode_fixed(x: float, scale: int) -> int:
-    """Map ``x`` in ``[0, 1]`` to ``round(x * scale)``."""
-    if scale < 10**3:
-        raise ConfigurationError("fixed-point scale must be >= 1000")
+def encode_fixed(x: float) -> int:
+    """Map ``x`` in ``[0, 1]`` to ``round(x * SCALE)``."""
     if not 0.0 <= x <= 1.0 or not math.isfinite(x):
         raise InvalidInputError(f"value {x} outside [0, 1]")
-    return round(x * scale)
-
-
-def decode_fixed(v: int, scale: int) -> float:
-    if scale < 10**3:
-        raise ConfigurationError("fixed-point scale must be >= 1000")
-    return v / scale
+    return round(x * SCALE)
 
 
 def _slot_count(width: int, n: int) -> int:
@@ -285,7 +279,6 @@ def _slot_count(width: int, n: int) -> int:
 def encrypt_vector(
     xs: Sequence[float],
     pk: PaillierPublicKey,
-    scale: int,
     rng: random.Random | None = None,
     *,
     contributors: int,
@@ -295,10 +288,9 @@ def encrypt_vector(
     Args:
         xs: Components in ``[0, 1]``.
         pk: Public key; encryption needs nothing else.
-        scale: Fixed-point scale.
         rng: Source of blinding randomness; OS entropy when omitted.
         contributors: Most vectors that will ever be summed with this one;
-            slots are ``(contributors * scale).bit_length()`` bits wide so
+            slots are ``(contributors * SCALE).bit_length()`` bits wide so
             that the sum of that many components cannot overflow a slot.
 
     Returns:
@@ -306,9 +298,9 @@ def encrypt_vector(
     """
     if contributors < 1:
         raise ConfigurationError("contributors must be >= 1")
-    width = (contributors * scale).bit_length()
+    width = (contributors * SCALE).bit_length()
     slots = _slot_count(width, pk.n)
-    values = [encode_fixed(float(x), scale) for x in xs]
+    values = [encode_fixed(float(x)) for x in xs]
     chunks = tuple(
         encrypt(
             sum(v << (i * width) for i, v in enumerate(values[start : start + slots])),
@@ -323,7 +315,6 @@ def encrypt_vector(
 def secure_mean(
     encrypted_vectors: Sequence[PackedVector],
     kp: PaillierKeyPair,
-    scale: int,
 ) -> np.ndarray:
     """Component-wise mean of packed encrypted fixed-point vectors.
 
@@ -334,7 +325,6 @@ def secure_mean(
     Args:
         encrypted_vectors: One packed vector per contributor.
         kp: Key pair of the single decrypting party.
-        scale: Fixed-point scale used at encryption time.
 
     Returns:
         Real-valued mean vector.
@@ -353,10 +343,8 @@ def secure_mean(
     slots = _slot_count(width, kp.public.n)
     if len(first.chunks) != -(-first.length // slots):
         raise InvalidInputError("chunk count does not match length and slot width")
-    if count * scale >= 1 << width:
-        raise ConfigurationError(
-            f"{count} contributors at scale {scale} overflow {width}-bit slots"
-        )
+    if count * SCALE >= 1 << width:
+        raise ConfigurationError(f"{count} contributors overflow {width}-bit slots")
     mask = (1 << width) - 1
     out = np.empty(first.length, dtype=np.float64)
     for k, acc in enumerate(first.chunks):
@@ -364,6 +352,6 @@ def secure_mean(
             acc = add(acc, vec.chunks[k], kp.public)
         total = decrypt(acc, kp)
         for j in range(k * slots, min((k + 1) * slots, first.length)):
-            out[j] = decode_fixed(total & mask, scale) / count
+            out[j] = (total & mask) / SCALE / count
             total >>= width
     return out

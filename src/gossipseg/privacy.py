@@ -21,8 +21,8 @@ class DpConfig:
     def __post_init__(self) -> None:
         if self.clip_norm <= 0 or not math.isfinite(self.clip_norm):
             raise ConfigurationError("clip_norm must be positive and finite")
-        if self.sigma_min < 0 or self.sigma_max < self.sigma_min:
-            raise ConfigurationError("need sigma_max >= sigma_min >= 0")
+        if not 0 <= self.sigma_min <= self.sigma_max < math.inf:
+            raise ConfigurationError("need finite sigma_max >= sigma_min >= 0")
         if self.total_rounds < 1:
             raise ConfigurationError("total_rounds must be >= 1")
 
@@ -66,20 +66,3 @@ def clip_and_noise(
     if sigma == 0.0:
         return clipped.copy()
     return clipped + rng.normal(0.0, sigma * clip_norm, size=g.shape)
-
-
-def budget_spent(rounds_executed: int, cfg: DpConfig) -> float:
-    """Accumulated privacy spend proxy: sum over rounds of ``1 / sigma(t)^2``.
-
-    Rounds past the schedule stay at ``sigma_min``.  Any zero-sigma round
-    makes the spend infinite.
-    """
-    if rounds_executed < 0:
-        raise InvalidInputError("rounds_executed must be >= 0")
-    total = 0.0
-    for t in range(rounds_executed):
-        sigma = sigma_at(min(t, cfg.total_rounds - 1), cfg)
-        if sigma == 0.0:
-            return math.inf
-        total += 1.0 / (sigma * sigma)
-    return total

@@ -15,6 +15,7 @@ where data enters a run.
 """
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import TypeVar
@@ -37,8 +38,8 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.hidden_dim < 1 or self.batch_size < 1 or self.local_steps < 1:
             raise ConfigurationError("trainer dimensions must be positive")
-        if self.learning_rate < 0:
-            raise ConfigurationError("learning_rate must be >= 0")
+        if not 0 <= self.learning_rate < math.inf:
+            raise ConfigurationError("learning_rate must be finite and >= 0")
 
 
 def init_params(

@@ -95,11 +95,10 @@ def test_criterion_02_paillier_suite():
         total = decrypt(add(encrypt(a, kp.public, rng), encrypt(b, kp.public, rng), kp.public), kp)
         failures += total != a + b
 
-    scale = 10**6
     np_rng = np.random.default_rng(2024)
     vectors = np_rng.random((6, 5))
-    encrypted = [encrypt_vector(v, kp.public, scale, rng, contributors=6) for v in vectors]
-    got = secure_mean(encrypted, kp, scale)
+    encrypted = [encrypt_vector(v, kp.public, rng, contributors=6) for v in vectors]
+    got = secure_mean(encrypted, kp)
     mean_err = float(np.max(np.abs(got - vectors.mean(axis=0))))
     elapsed = time.perf_counter() - start
     ok = failures == 0 and mean_err < 1e-6 and elapsed < 30.0

@@ -5,12 +5,8 @@ import random
 import numpy as np
 import pytest
 
-from gossipseg.clustering import (
-    CryptoContext,
-    assign_to_nearest,
-    kmeanspp_seed,
-    one_shot_cluster,
-)
+from gossipseg import paillier
+from gossipseg.clustering import assign_to_nearest, kmeanspp_seed, one_shot_cluster
 from gossipseg.datasets import LabelDistribution
 from gossipseg.errors import ConfigurationError
 
@@ -103,9 +99,8 @@ def grouped_distributions():
 
 
 def test_one_shot_groups_similar_peers(small_keypair):
-    crypto = CryptoContext(keypair=small_keypair, rng=random.Random(11))
     result = one_shot_cluster(
-        grouped_distributions(), 2, np.random.default_rng(4), crypto
+        grouped_distributions(), 2, np.random.default_rng(4), small_keypair, random.Random(11)
     )
     assignment = result.assignment
     assert set(assignment) == set(range(6))
@@ -116,22 +111,20 @@ def test_one_shot_groups_similar_peers(small_keypair):
 
 
 def test_one_shot_centroids_match_plaintext_means(small_keypair):
-    crypto = CryptoContext(keypair=small_keypair, rng=random.Random(12))
     dists = grouped_distributions()
-    result = one_shot_cluster(dists, 2, np.random.default_rng(4), crypto)
+    result = one_shot_cluster(dists, 2, np.random.default_rng(4), small_keypair, random.Random(12))
     for cid, centroid in enumerate(result.centroids):
         members = [p for p, c in result.assignment.items() if c == cid]
         assert members
         want = np.mean([dists[p].probs for p in members], axis=0)
         # each component carries at most the fixed-point rounding error
-        assert np.max(np.abs(centroid - want)) <= 1.0 / crypto.scale
+        assert np.max(np.abs(centroid - want)) <= 1.0 / paillier.SCALE
 
 
 def test_one_shot_repairs_empty_clusters(small_keypair):
-    crypto = CryptoContext(keypair=small_keypair, rng=random.Random(13))
     same = LabelDistribution(np.array([0.25, 0.25, 0.25, 0.25]))
     dists = {0: same, 1: same, 2: same}
-    result = one_shot_cluster(dists, 2, np.random.default_rng(0), crypto)
+    result = one_shot_cluster(dists, 2, np.random.default_rng(0), small_keypair, random.Random(13))
     sizes = np.bincount(list(result.assignment.values()), minlength=2)
     assert (sizes >= 1).all()
     assert sizes.sum() == 3
@@ -141,9 +134,8 @@ def test_one_shot_deterministic(small_keypair):
     dists = grouped_distributions()
     runs = []
     for _ in range(2):
-        crypto = CryptoContext(keypair=small_keypair, rng=random.Random(21))
         runs.append(
-            one_shot_cluster(dists, 2, np.random.default_rng(5), crypto)
+            one_shot_cluster(dists, 2, np.random.default_rng(5), small_keypair, random.Random(21))
         )
     assert runs[0].assignment == runs[1].assignment
     for x, y in zip(runs[0].centroids, runs[1].centroids):
@@ -151,11 +143,10 @@ def test_one_shot_deterministic(small_keypair):
 
 
 def test_one_shot_noised_assignment_still_partitions(small_keypair):
-    crypto = CryptoContext(keypair=small_keypair, rng=random.Random(14))
     rng = np.random.default_rng(6)
     dists = uniformish_distributions(np.random.default_rng(3), range(8))
     result = one_shot_cluster(
-        dists, 3, rng, crypto, assignment_sigma=0.05, assignment_clip=1.0
+        dists, 3, rng, small_keypair, random.Random(14), assignment_sigma=0.05, assignment_clip=1.0
     )
     sizes = np.bincount(list(result.assignment.values()), minlength=3)
     assert (sizes >= 1).all()
@@ -166,7 +157,6 @@ def test_one_shot_noised_assignment_still_partitions(small_keypair):
 
 
 def test_one_shot_needs_enough_peers(small_keypair):
-    crypto = CryptoContext(keypair=small_keypair, rng=random.Random(15))
     same = LabelDistribution(np.array([0.5, 0.5]))
     with pytest.raises(ConfigurationError):
-        one_shot_cluster({0: same}, 2, np.random.default_rng(0), crypto)
+        one_shot_cluster({0: same}, 2, np.random.default_rng(0), small_keypair, random.Random(15))

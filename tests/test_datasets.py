@@ -136,6 +136,28 @@ def test_idx_rejects_bad_magic_and_size(tmp_path):
     write_idx(p, 0x77, (1,), b"\x00")
     with pytest.raises(SerializationError):
         load_idx_array(p)
+    # a header cut inside its dims, a payload that is not whole elements,
+    # and a zero-dim file without its one value
+    malformed = [
+        b"\x00\x00\x08\x02" + struct.pack(">I", 2) + b"\x00\x01",
+        struct.pack(">BBBBI", 0, 0, 0x0C, 1, 2) + b"\x00" * 7,
+        b"\x00\x00\x08\x00",
+    ]
+    for raw in malformed:
+        p.write_bytes(raw)
+        with pytest.raises(SerializationError):
+            load_idx_array(p)
+    # a missing file and a directory are rejected inputs, not crashes
+    for unreadable in (tmp_path / "missing.idx", tmp_path):
+        with pytest.raises(ConfigurationError):
+            load_idx_array(unreadable)
+    # images without a sample, or without a feature, hold no value to load
+    labels = tmp_path / "labels.idx"
+    for dims in ((0, 4), (3, 0)):
+        write_idx(p, 0x08, dims, b"")
+        write_idx(labels, 0x08, dims[:1], bytes(dims[0]))
+        with pytest.raises(SerializationError):
+            load_idx_dataset(p, labels, num_classes=2)
 
 
 def test_idx_dataset_flattens_and_normalizes(tmp_path):
@@ -148,3 +170,8 @@ def test_idx_dataset_flattens_and_normalizes(tmp_path):
     assert data.features.shape == (5, 4)
     assert data.features.max() == 1.0
     assert np.array_equal(data.labels, labels)
+    # float images already in [0, 1] load unscaled
+    unit = np.linspace(0.0, 1.0, 20, dtype=">f4").reshape(5, 2, 2)
+    write_idx(ip, 0x0D, unit.shape, unit.tobytes())
+    data = load_idx_dataset(ip, lp, num_classes=2)
+    assert np.array_equal(data.features, unit.reshape(5, 4).astype(np.float64))

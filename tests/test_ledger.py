@@ -78,7 +78,7 @@ def test_register_rejects_duplicates(ledger):
         ledger.register(0, "fresh-cred")
     with pytest.raises(LedgerError):
         ledger.register(9, "cred-1")
-    assert list(ledger._registry) == [0, 1, 2, 3]
+    assert list(ledger._balances) == [0, 1, 2, 3]
 
 
 def test_deploy_only_once(ledger):
@@ -176,7 +176,7 @@ def test_reward_is_free_and_penalize_is_charged(ledger):
 
 
 def elect_oracle(ledger, tick):
-    peers = list(ledger._registry)
+    peers = list(ledger._balances)
     tip = ledger.blocks[-1].block_hash() if ledger.blocks else GENESIS_HASH
     digest = hashlib.sha256(tip + struct.pack("<q", tick)).digest()
     return peers[int.from_bytes(digest, "big") % len(peers)]

@@ -81,7 +81,7 @@ def test_phase1_ledger_sequence_and_state(tmp_path):
     assert ops.count("save_cluster_centers") == 1
     assert ops.count("assign_segment") == 4
     assert ops.count("get_segment") == 4
-    assert list(ledger._registry) == [0, 1, 2, 3]
+    assert list(ledger._balances) == [0, 1, 2, 3]
     # every peer landed in its cluster's segment, as the ledger stores it
     for pid in range(4):
         assert phase1.segments[pid] == ledger._segments[pid]
@@ -547,6 +547,43 @@ def test_cli_rejects_bad_input(tmp_path, capsys):
         assert "collides with" in capsys.readouterr().err
         assert not collide.exists()
         assert sorted(tmp_path.iterdir()) == before
+
+    # settings that are not finite, or are negative, are rejected before any
+    # key is generated or any file written, whether a flag or the file sets them
+    settings = tmp_path / "settings.json"
+    unset = tmp_path / "unset"
+    for flags, text in (
+        (["--beta", "nan"], "{}"),
+        (["--beta", "inf"], "{}"),
+        (["--dp-sigma-max", "nan"], "{}"),
+        (["--dp-sigma-min", "nan"], "{}"),
+        ([], '{"penalty_loss_delta": NaN}'),
+        ([], '{"data": {"spread": -1.0}}'),
+        ([], '{"data": {"center_scale": Infinity}}'),
+        ([], '{"train": {"learning_rate": NaN}}'),
+    ):
+        settings.write_text(text)
+        assert main([
+            "run", "--config", str(settings), "--peers", "4", "--clusters", "2",
+            "--ticks", "30", "--paillier-bits", "256", "--out-dir", str(unset), *flags,
+        ]) == 2, (flags, text)
+        assert "error:" in capsys.readouterr().err
+        assert not (unset / "cas").exists() and not (unset / "metrics.csv").exists()
+        assert not unset.exists()
+
+    # so are IDX files whose header is cut inside its dims, or that are missing
+    (tmp_path / "idx").mkdir()
+    cfg = idx_split_config(tmp_path / "idx", 6, 6)
+    images = Path(cfg.data.idx_images)
+    for damage in ("truncate", "remove"):
+        if damage == "truncate":
+            images.write_bytes(images.read_bytes()[:6])
+        else:
+            images.unlink()
+        settings.write_text(json.dumps(config_to_dict(cfg)))
+        assert main(["run", "--config", str(settings)]) == 2, damage
+        assert "error:" in capsys.readouterr().err
+        assert not Path(cfg.out_dir).exists()
 
 
 def test_console_script_entry_point_is_callable():

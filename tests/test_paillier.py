@@ -21,9 +21,9 @@ from gossipseg.errors import (
     KeyMismatchError,
 )
 from gossipseg.paillier import (
+    SCALE,
     Ciphertext,
     add,
-    decode_fixed,
     decrypt,
     encode_fixed,
     encrypt,
@@ -87,30 +87,28 @@ def test_wrong_key_rejected(small_keypair):
 
 
 def test_fixed_point_roundtrip_error_bound():
-    scale = 10**6
     rng = random.Random(8)
     for _ in range(200):
         x = rng.random()
-        assert abs(decode_fixed(encode_fixed(x, scale), scale) - x) <= 0.5 / scale
-    assert encode_fixed(0.0, scale) == 0
-    assert encode_fixed(1.0, scale) == scale
+        assert abs(encode_fixed(x) / SCALE - x) <= 0.5 / SCALE
+    assert encode_fixed(0.0) == 0
+    assert encode_fixed(1.0) == SCALE
     with pytest.raises(InvalidInputError):
-        encode_fixed(1.5, scale)
+        encode_fixed(1.5)
     with pytest.raises(InvalidInputError):
-        encode_fixed(-0.1, scale)
+        encode_fixed(-0.1)
 
 
 def test_secure_mean_matches_plaintext_loop(small_keypair):
     kp = small_keypair
-    scale = 10**6
     rng = random.Random(9)
     np_rng = np.random.default_rng(9)
     vectors = np_rng.random((5, 4))
     encrypted = [
-        encrypt_vector(v, kp.public, scale, rng, contributors=len(vectors))
+        encrypt_vector(v, kp.public, rng, contributors=len(vectors))
         for v in vectors
     ]
-    got = secure_mean(encrypted, kp, scale)
+    got = secure_mean(encrypted, kp)
 
     # reference: plain python accumulation, no numpy mean
     want = []
@@ -124,13 +122,12 @@ def test_secure_mean_matches_plaintext_loop(small_keypair):
 
 def test_secure_mean_guards(small_keypair):
     kp = small_keypair
-    scale = 10**6
     with pytest.raises(EmptyAggregationError):
-        secure_mean([], kp, scale)
+        secure_mean([], kp)
     rng = random.Random(3)
-    mixed = [encrypt_vector(v, kp.public, scale, rng, contributors=2) for v in ([0.5], [0.5, 0.5])]
+    mixed = [encrypt_vector(v, kp.public, rng, contributors=2) for v in ([0.5], [0.5, 0.5])]
     with pytest.raises(InvalidInputError):
-        secure_mean(mixed, kp, scale)
+        secure_mean(mixed, kp)
 
 
 def textbook_decrypt(c, kp):
@@ -163,11 +160,8 @@ def test_crt_decrypt_matches_textbook_on_random_ciphertexts(small_keypair, bits,
     length=st.sampled_from([1, 4, 32, 60]),
     count=st.integers(min_value=1, max_value=5),
     spare=st.sampled_from([0, 1, 7, 1000]),
-    scale=st.sampled_from([10**3, 10**6]),
 )
-def test_packed_secure_mean_equals_integer_reference(
-    small_keypair, data, length, count, spare, scale
-):
+def test_packed_secure_mean_equals_integer_reference(small_keypair, data, length, count, spare):
     kp = small_keypair
     contributors = count + spare
     seed = data.draw(st.integers(min_value=0, max_value=2**32 - 1))
@@ -176,17 +170,17 @@ def test_packed_secure_mean_equals_integer_reference(
     # exact endpoints exercise the widest slot value
     vectors[0, 0] = data.draw(st.sampled_from([0.0, 1.0, float(vectors[0, 0])]))
     encrypted = [
-        encrypt_vector(v, kp.public, scale, random.Random(seed + i), contributors=contributors)
+        encrypt_vector(v, kp.public, random.Random(seed + i), contributors=contributors)
         for i, v in enumerate(vectors)
     ]
-    width = (contributors * scale).bit_length()
+    width = (contributors * SCALE).bit_length()
     slots = (kp.public.n.bit_length() - 1) // width
     assert all(vec.width == width for vec in encrypted)
     assert all(len(vec.chunks) == -(-length // slots) for vec in encrypted)
 
-    got = secure_mean(encrypted, kp, scale)
+    got = secure_mean(encrypted, kp)
     want = [
-        sum(encode_fixed(float(vectors[i, j]), scale) for i in range(count)) / scale / count
+        sum(encode_fixed(float(vectors[i, j])) for i in range(count)) / SCALE / count
         for j in range(length)
     ]
     assert got.tolist() == want
@@ -194,20 +188,19 @@ def test_packed_secure_mean_equals_integer_reference(
 
 def test_slot_capacity_enforced(small_keypair):
     kp = small_keypair
-    scale = 10**6
     rng = random.Random(4)
-    # sized for one contributor: 20-bit slots hold at most 1,048,575 < 2 * scale
-    enc = [encrypt_vector([1.0, 1.0], kp.public, scale, rng, contributors=1) for _ in range(2)]
+    # sized for one contributor: 20-bit slots hold at most 1,048,575 < 2 * SCALE
+    enc = [encrypt_vector([1.0, 1.0], kp.public, rng, contributors=1) for _ in range(2)]
     with pytest.raises(ConfigurationError):
-        secure_mean(enc, kp, scale)
+        secure_mean(enc, kp)
 
     # a slot as wide as n leaves no room for even one slot below n
     huge = 1 << kp.public.n.bit_length()
     with pytest.raises(ConfigurationError):
-        encrypt_vector([0.5], kp.public, scale, rng, contributors=huge)
+        encrypt_vector([0.5], kp.public, rng, contributors=huge)
     too_wide = replace(enc[0], width=kp.public.n.bit_length())
     with pytest.raises(ConfigurationError):
-        secure_mean([too_wide], kp, scale)
+        secure_mean([too_wide], kp)
 
 
 @given(data=st.data(), bits=st.integers(min_value=64, max_value=2048))
@@ -241,10 +234,8 @@ def test_builtin_pow_fallback_gives_identical_keys_and_ciphertexts(monkeypatch):
     def outputs():
         kp = keygen(bits=512, seed=77)
         c = encrypt(123456789, kp.public, random.Random(3))
-        vec = encrypt_vector(
-            [0.0, 0.25, 1.0], kp.public, 10**6, random.Random(4), contributors=3
-        )
-        return kp, c, vec, decrypt(c, kp), secure_mean([vec], kp, 10**6).tolist()
+        vec = encrypt_vector([0.0, 0.25, 1.0], kp.public, random.Random(4), contributors=3)
+        return kp, c, vec, decrypt(c, kp), secure_mean([vec], kp).tolist()
 
     default = outputs()
     monkeypatch.setattr(paillier, "_powmod", pow)

@@ -1,4 +1,4 @@
-"""Clipping, calibrated noise, the decaying schedule, and the budget sum."""
+"""Clipping, calibrated noise, and the decaying schedule."""
 
 import math
 
@@ -8,7 +8,7 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from gossipseg.errors import ConfigurationError, InvalidInputError, SchedulingError
-from gossipseg.privacy import DpConfig, budget_spent, clip_and_noise, sigma_at
+from gossipseg.privacy import DpConfig, clip_and_noise, sigma_at
 
 
 def test_schedule_endpoints_exact():
@@ -95,27 +95,3 @@ def test_input_validation(rng):
         clip_and_noise(np.ones(2), 0.0, 0.0, rng)
     with pytest.raises(ConfigurationError):
         clip_and_noise(np.ones(2), 1.0, -0.5, rng)
-
-
-def test_budget_matches_loop_oracle():
-    cfg = DpConfig(sigma_max=0.02, sigma_min=0.005, total_rounds=10)
-    for executed in (0, 1, 5, 10, 17):
-        want = 0.0
-        for t in range(executed):
-            s = sigma_at(min(t, 9), cfg)
-            want += 1.0 / s**2
-        assert budget_spent(executed, cfg) == pytest.approx(want, rel=1e-12)
-    assert budget_spent(0, cfg) == 0.0
-
-
-def test_budget_clamps_past_schedule_to_final_sigma():
-    cfg = DpConfig(sigma_max=0.02, sigma_min=0.005, total_rounds=4)
-    inside = budget_spent(4, cfg)
-    extra = budget_spent(6, cfg)
-    assert extra == pytest.approx(inside + 2.0 / 0.005**2, rel=1e-12)
-
-
-def test_budget_infinite_when_noise_disabled():
-    cfg = DpConfig(sigma_max=0.0, sigma_min=0.0, total_rounds=3)
-    assert budget_spent(1, cfg) == math.inf
-    assert budget_spent(0, cfg) == 0.0

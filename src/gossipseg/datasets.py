@@ -111,10 +111,15 @@ def load_idx_dataset(
 ) -> LabeledDataset:
     """Build a dataset from an IDX image file and an IDX label file.
 
-    Images whose largest value is above 1 are divided by 255.
+    Images whose largest value is above 1 are divided by 255. Labels must be
+    whole class indices, in a float label file too.
     """
     images = load_idx_array(images_path).astype(np.float64)
-    labels = load_idx_array(labels_path).astype(np.int64)
+    labels = load_idx_array(labels_path)
+    # checked before the cast, which would truncate 0.9 to 0; NaN fails every test
+    if not np.all((labels == np.floor(labels)) & (labels >= 0) & (labels < num_classes)):
+        raise InvalidInputError("IDX labels must be whole numbers in [0, num_classes)")
+    labels = labels.astype(np.int64)
     if images.ndim < 2 or images.size == 0:
         raise SerializationError("image array must have at least 2 dims and one value")
     images = images.reshape(images.shape[0], -1)

@@ -129,8 +129,9 @@ def build_dataset(cfg: RunConfig) -> tuple[LabeledDataset, LabeledDataset]:
 def run_phase1(cfg: RunConfig) -> Phase1Result:
     """Register, cluster, and segment; exactly one assignment pass.
 
-    The output paths and the data are checked first, so a rejected config
-    costs no key generation and leaves nothing on disk.
+    The output paths, the data and its partition into shards are checked
+    first, so a rejected config costs no key generation and leaves nothing
+    on disk.
     """
     paths = cfg.artifact_paths()
     # no two artifacts may share a file, and the CAS directory holds no artifact
@@ -152,14 +153,14 @@ def run_phase1(cfg: RunConfig) -> Phase1Result:
         if not existing.is_dir():
             raise ConfigurationError(f"output directory {out_dir}: {existing} is not a directory")
     train_data, test_data = build_dataset(cfg)
+    shards = dirichlet_partition(
+        train_data, cfg.num_peers, cfg.beta, derive_seed(cfg.seed, "partition")
+    )
     store = BlockStore(paths["cas"])
     ledger = Ledger(initial_tokens=cfg.initial_tokens)
     keypair = paillier.keygen(cfg.paillier_bits, seed=derive_seed(cfg.seed, "paillier"))
     ledger.deploy_contracts(
         {"paillier_n": str(keypair.public.n), "paillier_g": str(keypair.public.g)}
-    )
-    shards = dirichlet_partition(
-        train_data, cfg.num_peers, cfg.beta, derive_seed(cfg.seed, "partition")
     )
     for pid in range(cfg.num_peers):
         credential = hashlib.sha256(

@@ -158,6 +158,15 @@ def test_idx_rejects_bad_magic_and_size(tmp_path):
         write_idx(labels, 0x08, dims[:1], bytes(dims[0]))
         with pytest.raises(SerializationError):
             load_idx_dataset(p, labels, num_classes=2)
+    # float labels that are not whole class indices are rejected, not truncated
+    write_idx(p, 0x08, (3, 2), bytes(6))
+    for bad in ([0.9, 1.7, -0.5], [0.0, np.nan, 1.0], [0.0, np.inf, 1.0]):
+        write_idx(labels, 0x0D, (3,), np.array(bad, dtype=">f4").tobytes())
+        with pytest.raises(InvalidInputError):
+            load_idx_dataset(p, labels, num_classes=2)
+    # float labels that are whole numbers still load
+    write_idx(labels, 0x0D, (3,), np.array([0.0, 1.0, 2.0], dtype=">f4").tobytes())
+    assert load_idx_dataset(p, labels, num_classes=3).labels.tolist() == [0, 1, 2]
 
 
 def test_idx_dataset_flattens_and_normalizes(tmp_path):

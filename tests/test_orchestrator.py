@@ -571,6 +571,14 @@ def test_cli_rejects_bad_input(tmp_path, capsys):
         assert not (unset / "cas").exists() and not (unset / "metrics.csv").exists()
         assert not unset.exists()
 
+    # so are more peers than training samples (4 classes × 400 = 1600)
+    crowded = tmp_path / "crowded"
+    assert main([
+        "run", "--peers", "1700", "--clusters", "2", "--ticks", "5", "--out-dir", str(crowded),
+    ]) == 2
+    assert "more clients than samples" in capsys.readouterr().err
+    assert not crowded.exists()
+
     # so are IDX files whose header is cut inside its dims, or that are missing
     (tmp_path / "idx").mkdir()
     cfg = idx_split_config(tmp_path / "idx", 6, 6)

@@ -312,8 +312,8 @@ def run_phase2(
             if ctx.global_round > peer.synced_round:  # retry a failed sync
                 peer.sync_global(ctx)
         states = []
-        for peer, trained in zip(woken, local_steps(woken, cfg.train)):
-            peer.peer_iteration(ctx, trained)
+        for peer, (trained, own_loss) in zip(woken, local_steps(woken, cfg.train)):
+            peer.peer_iteration(ctx, trained, own_loss)
             states.append(_ledger_state(ctx, peer))
             schedule_wake(peer, tick)
         record(tick, woken, states)

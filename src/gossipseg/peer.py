@@ -42,6 +42,9 @@ from .trainer import TrainConfig
 _UPDATE_MAGIC = b"GSU1"
 _UPDATE_VERSION = 1
 
+# a peer's eval set is the first rows of its shard, at most this many
+EVAL_ROWS = 64
+
 REWARD = "reward"
 PENALTY = "penalty"
 NEUTRAL = "neutral"
@@ -191,7 +194,7 @@ class Peer:
     iteration: int = 0
 
     def __post_init__(self) -> None:
-        rows = self.shard[:64]
+        rows = self.shard[:EVAL_ROWS]
         self.eval_features = self.train.features[rows]
         self.eval_labels = self.train.labels[rows]
 
@@ -308,11 +311,13 @@ class Peer:
 
     # -- one gossip iteration -------------------------------------------------
 
-    def peer_iteration(self, ctx: RunContext, trained: ModelParams) -> bool:
+    def peer_iteration(self, ctx: RunContext, trained: ModelParams, own_loss: float) -> bool:
         """Publish a privatized delta, pull neighbors, combine, apply.
 
-        ``trained`` is this peer's ``params`` after its local steps, as
-        :func:`local_steps` returns them.  Returns False when a ledger
+        ``trained`` is this peer's ``params`` after its local steps and
+        ``own_loss`` their loss on its eval set, as :func:`local_steps`
+        returns them; the update header claims that loss, and the incentive
+        check judges candidates against it.  Returns False when a ledger
         rejection aborted the iteration.  ``params`` and ``iteration`` are
         assigned last, so an abort leaves them as they were before training;
         it undoes nothing else: the peer's RNG stays advanced, and whatever
@@ -332,7 +337,6 @@ class Peer:
                 if byzantine
                 else self._privatize(ctx, delta)
             )
-            _, own_loss = trainer.evaluate(trained, self.eval_features, self.eval_labels)
             claimed = 0.0 if byzantine else own_loss
             published = trained.with_buf(np.zeros_like(trained.buf))
             for r, part in split_over(own, owned):
@@ -383,32 +387,66 @@ class Peer:
             ctx.segment_violations += 1
 
 
-def local_steps(peers: list[Peer], train: TrainConfig) -> list[ModelParams]:
-    """Every peer's ``params`` after its local SGD steps, in ``peers`` order.
+def local_steps(peers: list[Peer], train: TrainConfig) -> list[tuple[ModelParams, float]]:
+    """Every peer's ``params`` after its local SGD steps, with their loss on
+    its eval set, in ``peers`` order.
 
-    Peers whose batches have one size train as one stacked computation, in
-    passes cut by :func:`trainer.in_passes`.  Each peer draws its batches
-    from its own RNG, and each stacked model computes bit for bit what it
-    would alone, so a peer's result does not depend on which peers share
-    its stack.  No peer's state but its RNG changes.
+    The peers train as one stacked computation whose batches are padded to
+    ``train.batch_size`` rows, and are then scored as one stack whose eval
+    sets are padded to ``EVAL_ROWS``; 1-row batches and sets stack apart,
+    unpadded.  Both run in passes cut by :func:`trainer.in_passes`.  Each
+    peer draws its batches from its own RNG, and each stacked model runs the
+    same shapes whichever peers share its pass, so it computes bit for bit
+    what it would alone.  No peer's state but its RNG changes.
     """
     batches = [peer._batches(train) for peer in peers]
-    groups: dict[int, list[int]] = {}
-    for i, (_, y) in enumerate(batches):
-        groups.setdefault(y.shape[1], []).append(i)
+    batch_rows = [len(y[0]) for _, y in batches]
     trained: dict[int, ModelParams] = {}
-    for size, group in groups.items():
-        for members in trainer.in_passes(group, peers[group[0]].params, size):
+    for group, width in _stacks(batch_rows, train.batch_size):
+        for members in trainer.in_passes(group, peers[group[0]].params, width):
             # (step, peer, batch row, feature): each step's batches are contiguous
-            x, y = (np.stack([batches[i][k] for i in members], axis=1) for k in (0, 1))
+            x, y = (_padded([batches[i][k] for i in members], width) for k in (0, 1))
+            rows = np.array([batch_rows[i] for i in members])
             stacked = np.stack([peers[i].params.buf for i in members])
             params = peers[members[0]].params.with_buf(stacked)
             segments = [peers[i].segment for i in members]
             for step in range(train.local_steps):
-                grad = mask_to_segment(trainer.gradient(params, x[step], y[step]), segments)
+                grad = mask_to_segment(trainer.gradient(params, x[step], y[step], rows), segments)
                 params = trainer.sgd_step(params, grad, train.learning_rate)
             trained.update(zip(members, params.unstacked()))
-    return [trained[i] for i in range(len(peers))]
+    eval_rows = [len(peer.eval_labels) for peer in peers]
+    losses: dict[int, float] = {}
+    for group, width in _stacks(eval_rows, EVAL_ROWS):
+        # an eval set is a batch of one step
+        x = _padded([peers[i].eval_features[None] for i in group], width)[0]
+        y = _padded([peers[i].eval_labels[None] for i in group], width)[0]
+        rows = np.array([eval_rows[i] for i in group])
+        stacked = trained[group[0]].with_buf(np.stack([trained[i].buf for i in group]))
+        _, loss = trainer.evaluate(stacked, x, y, rows)
+        losses.update(zip(group, loss.tolist()))
+    return [(trained[i], losses[i]) for i in range(len(peers))]
+
+
+def _stacks(sizes: list[int], width: int) -> list[tuple[list[int], int]]:
+    """The indices of ``sizes`` that share one stack, each with its row width.
+
+    Sets of one row stack apart, unpadded: numpy multiplies a 1-row matrix
+    by another BLAS kernel (``gemv``), which sums in another order, so padding
+    them would change their results.  Every other set is padded to ``width``.
+    """
+    single = [i for i, n in enumerate(sizes) if n == 1]
+    padded = [i for i, n in enumerate(sizes) if n != 1]
+    return [(group, w) for group, w in ((single, 1), (padded, width)) if group]
+
+
+def _padded(parts: list[np.ndarray], width: int) -> np.ndarray:
+    """``(steps, n, ...)`` arrays with ``n <= width`` stacked as
+    ``(steps, len(parts), width, ...)``, zero past each part's own rows."""
+    steps, _, *tail = parts[0].shape
+    out = np.zeros((steps, len(parts), width, *tail), dtype=parts[0].dtype)
+    for j, part in enumerate(parts):
+        out[:, j, : part.shape[1]] = part
+    return out
 
 
 def leader_duty(leader: Peer, ctx: RunContext) -> Cid:

@@ -5,8 +5,10 @@ log-softmax with max shifting, so extreme logits stay finite.
 
 Each function also takes stacked parameters (see :mod:`.model`) and then
 computes every model in one call: ``gradient`` on one batch per model,
-``evaluate`` on one shared set.  Each model's result is bit for bit the
-result of the same call on that model alone.
+``evaluate`` on one shared set or one set per model.  Each model's result is
+bit for bit the result of the same call on that model alone.  Per-model
+batches and sets may be padded to one row count: with ``rows``, model i's
+data is its first ``rows[i]`` rows, and the rest add nothing to its result.
 
 Batches are taken as given: a non-empty ``(n, d)`` float feature matrix
 whose width is the model's input width, and ``n`` integer labels within the
@@ -56,9 +58,9 @@ def init_params(
 
 
 # One stacked pass keeps its hidden activations (models x rows x hidden
-# width) within this many floats, 128 KiB.  Bigger stacks raise the peak
-# memory without running faster: 64-512-32 models trained in stacks of
-# eight took twice as long per model as one at a time.
+# width, padding rows included) within this many floats, 128 KiB.  Bigger
+# stacks raise the peak memory without running faster: 64-512-32 models
+# trained in stacks of eight took twice as long per model as one at a time.
 STACK_FLOATS = 1 << 14
 
 
@@ -100,18 +102,32 @@ def _label_entries(per_class: np.ndarray, y: np.ndarray) -> np.ndarray:
     return rows.reshape(per_class.shape[:-1]) + y
 
 
-def _loss(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _padding(rows: np.ndarray, width: int) -> np.ndarray:
+    """``(models, width)``: True on the rows past each model's own ``rows``."""
+    return np.arange(width) >= rows[:, None]
+
+
+def _loss(logits: np.ndarray, y: np.ndarray, rows: np.ndarray | None) -> np.ndarray:
     with np.errstate(under="ignore"):
         logp = _log_softmax(logits)
     picked = logp.reshape(-1)[_label_entries(logp, y)]
-    return -(np.add.reduce(picked, axis=-1) / y.shape[-1])
+    if rows is None:
+        return -(np.add.reduce(picked, axis=-1) / y.shape[-1])
+    # each model's sum runs over its own rows only, so it adds in the
+    # pairwise order of its set alone
+    return -np.array([np.add.reduce(row[:n]) / n for row, n in zip(picked, rows.tolist())])
 
 
-def gradient(params: ModelParams, x: np.ndarray, y: np.ndarray) -> ModelParams:
+def gradient(
+    params: ModelParams, x: np.ndarray, y: np.ndarray, rows: np.ndarray | None = None
+) -> ModelParams:
     """Exact mean-loss gradient with the same geometry as ``params``.
 
     Stacked ``params`` take one batch per model: ``(models, n, d)`` features
-    and ``(models, n)`` labels.
+    and ``(models, n)`` labels.  With ``rows``, model i's batch is its first
+    ``rows[i]`` rows; the probabilities of the rest are zeroed before any
+    product or sum over the batch, and its mean divides by ``rows[i]``.  The
+    padding's features must be finite; its values do not matter.
     """
     hidden, logits = _forward(params, x)
     grad = params.with_buf(np.empty_like(params.buf))
@@ -121,7 +137,11 @@ def gradient(params: ModelParams, x: np.ndarray, y: np.ndarray) -> ModelParams:
     with np.errstate(under="ignore"):
         probs = np.exp(_log_softmax(logits), out=logits)
         probs.reshape(-1)[_label_entries(probs, y)] -= 1.0
-        probs /= y.shape[-1]
+        if rows is None:
+            probs /= y.shape[-1]
+        else:
+            probs[_padding(rows, y.shape[-1])] = 0.0
+            probs /= rows[:, None, None]
         np.matmul(probs.swapaxes(-1, -2), hidden, out=grad.last_layer_weights)
         np.add.reduce(probs, axis=-2, out=grad.last_layer_bias)
         back = probs @ params.last_layer_weights
@@ -139,24 +159,37 @@ def sgd_step(params: ModelParams, delta: ModelParams, learning_rate: float) -> M
 
 
 def evaluate(
-    params: ModelParams, x: np.ndarray, y: np.ndarray
+    params: ModelParams, x: np.ndarray, y: np.ndarray, rows: np.ndarray | None = None
 ) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
     """(accuracy, mean loss) on a labeled set.
 
-    Stacked ``params`` are all evaluated on the one set, in passes cut by
-    :func:`in_passes`, and give one array of each, in row order.
+    Stacked ``params`` are all evaluated on the one set or, with ``rows``,
+    each on its own: ``(models, n, d)`` features and ``(models, n)`` labels,
+    of which model i's set is its first ``rows[i]`` rows.  They run in passes
+    cut by :func:`in_passes` and give one array of each, in row order.
     """
     if params.buf.ndim == 1:
-        accuracy, loss = _evaluate(params, x, y)
+        accuracy, loss = _evaluate(params, x, y, None)
         return float(accuracy), float(loss)
-    parts = [
-        _evaluate(params.with_buf(params.buf[run.start : run.stop]), x, y)
-        for run in in_passes(range(len(params.buf)), params, len(y))
-    ]
+    parts = []
+    for run in in_passes(range(len(params.buf)), params, y.shape[-1]):
+        models = slice(run.start, run.stop)
+        part = params.with_buf(params.buf[models])
+        if rows is None:
+            parts.append(_evaluate(part, x, y, None))
+        else:
+            parts.append(_evaluate(part, x[models], y[models], rows[models]))
     return tuple(np.concatenate(part) for part in zip(*parts))
 
 
-def _evaluate(params: ModelParams, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _evaluate(
+    params: ModelParams, x: np.ndarray, y: np.ndarray, rows: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray]:
     _, logits = _forward(params, x)
-    hits = np.add.reduce(logits.argmax(axis=-1) == y, axis=-1, dtype=np.float64)
-    return hits / y.shape[-1], _loss(logits, y)
+    hits = logits.argmax(axis=-1) == y
+    if rows is None:
+        count = y.shape[-1]
+    else:
+        hits[_padding(rows, y.shape[-1])] = False
+        count = rows
+    return np.add.reduce(hits, axis=-1, dtype=np.float64) / count, _loss(logits, y, rows)

@@ -265,11 +265,11 @@ def test_rejected_wake_rolls_back_only_that_peer(tmp_path, monkeypatch):
     calls = []
     real_iteration = Peer.peer_iteration
 
-    def iteration(peer, ctx, trained):
+    def iteration(peer, ctx, trained, own_loss):
         # local steps have already run for the whole tick, and change no peer state
         before = (canonical_bytes(peer.params), peer.iteration)
         refusing["on"] = peer.peer_id == 1 and peer.iteration == 1
-        ok = real_iteration(peer, ctx, trained)
+        ok = real_iteration(peer, ctx, trained, own_loss)
         refusing["on"] = False
         after = (canonical_bytes(peer.params), peer.iteration)
         calls.append((peer.peer_id, ok, before, after))

@@ -34,7 +34,7 @@ from gossipseg.peer import (
     round_tag,
 )
 from gossipseg.privacy import DpConfig
-from gossipseg.trainer import TrainConfig, init_params
+from gossipseg.trainer import TrainConfig, evaluate, gradient, init_params, sgd_step
 
 
 def build_ctx(tmp_path, num_peers=2, num_clusters=2, fanout=1, trim_ratio=0.0,
@@ -82,8 +82,8 @@ def build_ctx(tmp_path, num_peers=2, num_clusters=2, fanout=1, trim_ratio=0.0,
 
 
 def iterate(peer, ctx):
-    [trained] = local_steps([peer], ctx.cfg.train)
-    return peer.peer_iteration(ctx, trained)
+    [(trained, own_loss)] = local_steps([peer], ctx.cfg.train)
+    return peer.peer_iteration(ctx, trained, own_loss)
 
 
 def published_cid(ctx, pid):
@@ -636,3 +636,52 @@ def test_shard_indices_draw_the_rows_a_copied_shard_draws(tmp_path):
         train = TrainConfig(batch_size=batch_size)
         for got, want in zip(shared._batches(train), private._batches(train)):
             assert got.tobytes() == want.tobytes()
+
+
+# shards whose batches (at batch_size 32) hold 1, 2, 5, 7, 31, 32 and 32 rows
+# and whose eval sets hold 1, 2, 5, 7, 31, 32 and 64
+SHARD_SIZES = (1, 2, 5, 7, 31, 32, 100)
+
+
+def peers_of_every_size(shape):
+    input_dim, hidden, classes = shape
+    rng = np.random.default_rng(18)
+    data = LabeledDataset(
+        rng.normal(size=(sum(SHARD_SIZES), input_dim)),
+        rng.integers(0, classes, size=sum(SHARD_SIZES)),
+        classes,
+    )
+    specs = segment_boundaries(classes, 3)
+    ends = np.cumsum(SHARD_SIZES)
+    peers = []
+    for pid, (size, end) in enumerate(zip(SHARD_SIZES, ends)):
+        params = init_params(input_dim, hidden, classes, np.random.default_rng(pid))
+        peers.append(Peer(peer_id=pid, segment=specs[pid % 3], params=params, baseline=params,
+                          train=data, shard=np.arange(end - size, end),
+                          rng=np.random.default_rng(100 + pid)))
+    return peers
+
+
+@pytest.mark.parametrize("shape", [(8, 16, 4), (64, 512, 32)])
+def test_local_steps_stacks_every_batch_and_eval_size_exactly(shape):
+    train = TrainConfig(batch_size=32, local_steps=5)
+    together = local_steps(peers_of_every_size(shape), train)
+    alone = [local_steps([peer], train)[0] for peer in peers_of_every_size(shape)]
+    assert [(p.buf.tobytes(), loss) for p, loss in together] == [
+        (p.buf.tobytes(), loss) for p, loss in alone
+    ]
+    # against plain steps on the unpadded rows: bit for bit where one row
+    # stacks apart, unpadded; elsewhere within rounding, since whether a
+    # padded product sums in the same order is up to the BLAS kernel
+    for peer, (params, loss) in zip(peers_of_every_size(shape), together):
+        x, y = peer._batches(train)
+        plain = peer.params
+        for step in range(train.local_steps):
+            grad = mask_to_segment(gradient(plain, x[step], y[step]), peer.segment)
+            plain = sgd_step(plain, grad, train.learning_rate)
+        _, plain_loss = evaluate(plain, peer.eval_features, peer.eval_labels)
+        if len(peer.shard) == 1:
+            assert params.buf.tobytes() == plain.buf.tobytes() and loss == plain_loss
+        else:
+            assert np.allclose(params.buf, plain.buf, rtol=0, atol=1e-12)
+            assert loss == pytest.approx(plain_loss, rel=1e-12)

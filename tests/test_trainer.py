@@ -181,6 +181,31 @@ def test_stacked_evaluate_matches_each_model_alone(shape, models):
     assert np.array([l for _, l in alone]).tobytes() == loss.tobytes()
 
 
+def test_padded_gradient_and_score_equal_unpadded_on_small_model():
+    # the recorded digests rest on this: on 8-16-4 a model's gradient on a
+    # batch padded to 32 rows, and its loss on a set padded to 64, equal those
+    # on the unpadded rows bit for bit for every row count from 2.  (1-row
+    # batches and sets stack apart, unpadded.)  It is a property of the BLAS
+    # kernels, not of the code: on 64-512-32 the 512-deep hidden-to-logit
+    # product sums differently at 64 rows than at fewer, so a wide-model set
+    # of fewer than 64 rows can score differently in its last bits.
+    rng = np.random.default_rng(18)
+    for width, counts in ((32, range(2, 33)), (64, range(2, 65))):
+        models = [init_params(8, 16, 4, rng) for _ in counts]
+        x = rng.normal(size=(len(models), width, 8))
+        y = rng.integers(0, 4, size=(len(models), width))
+        rows = np.array(counts)
+        stacked = models[0].with_buf(np.stack([m.buf for m in models]))
+        own = list(zip(models, x, y, counts))
+        if width == 32:
+            padded = [g.buf.tobytes() for g in gradient(stacked, x, y, rows).unstacked()]
+            assert padded == [gradient(m, xm[:n], ym[:n]).buf.tobytes() for m, xm, ym, n in own]
+        else:
+            _, losses = evaluate(stacked, x, y, rows)
+            alone = [evaluate(m, xm[:n], ym[:n])[1] for m, xm, ym, n in own]
+            assert losses.tobytes() == np.array(alone).tobytes()
+
+
 def test_label_entries_gather_contiguously(rng):
     from gossipseg.trainer import _label_entries
 
@@ -204,5 +229,9 @@ def test_in_passes_keeps_stacked_activations_within_budget():
     passes = in_passes(list(range(20)), small, 400)
     assert [len(p) for p in passes] == [2] * 10
     assert all(len(p) * 400 * 16 <= STACK_FLOATS for p in passes)
+    # batches padded to 32 rows and eval sets padded to 64 fill the budget exactly
+    assert [len(p) for p in in_passes(list(range(70)), small, 32)] == [32, 32, 6]
+    assert [len(p) for p in in_passes(list(range(40)), small, 64)] == [16, 16, 8]
+    assert [len(p) for p in in_passes(list(range(3)), wide, 32)] == [1, 1, 1]
     # a model whose activations alone exceed the budget still runs, one per pass
     assert in_passes(range(3), wide, 800) == [range(0, 1), range(1, 2), range(2, 3)]

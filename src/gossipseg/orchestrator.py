@@ -264,25 +264,31 @@ def run_phase2(
     for pid in sorted(peers):
         peers[pid].sync_global(ctx)
 
-    # every peer now holds the initial model, whether its sync succeeded or not
-    initial_acc, initial_loss = trainer.evaluate(initial_params, test_x, test_y)
-    initial_accuracy = dict.fromkeys(sorted(peers), initial_acc)
     rows = [METRICS_VERSION_LINE, METRICS_HEADER]
-    for pid in initial_accuracy:
-        state = _ledger_state(ctx, peers[pid])
-        rows.append(_metric_row(0, peers[pid], initial_acc, initial_loss, state))
 
     def record(tick: int, scored: list[Peer], states: list[tuple[int, int]]) -> list[float]:
         """Append the peers' metrics rows, scored on the test set in stacked
-        passes; return their accuracies."""
-        scores: list[tuple[float, float]] = []
-        for run in trainer.in_passes(scored, initial_params, len(test_y)):
-            stacked = initial_params.with_buf(np.stack([peer.params.buf for peer in run]))
+        passes; return their accuracies.
+
+        Peers that hold one params object, as every peer does after a sync
+        until it trains, share one score: a model's score does not depend
+        on the models stacked with it.
+        """
+        models = list({id(peer.params): peer.params for peer in scored}.values())
+        scores: dict[int, tuple[float, float]] = {}
+        for run in trainer.in_passes(models, initial_params, len(test_y)):
+            stacked = initial_params.with_buf(np.stack([params.buf for params in run]))
             accuracy, loss = trainer.evaluate(stacked, test_x, test_y)
-            scores.extend(zip(accuracy.tolist(), loss.tolist()))
-        for peer, (acc, loss), state in zip(scored, scores, states):
+            scores.update(zip(map(id, run), zip(accuracy.tolist(), loss.tolist())))
+        for peer, state in zip(scored, states):
+            acc, loss = scores[id(peer.params)]
             rows.append(_metric_row(tick, peer, acc, loss, state))
-        return [acc for acc, _ in scores]
+        return [scores[id(peer.params)][0] for peer in scored]
+
+    # every peer now holds the initial model, whether its sync succeeded or not
+    initial = [peers[pid] for pid in sorted(peers)]
+    accuracy = record(0, initial, [_ledger_state(ctx, peer) for peer in initial])
+    initial_accuracy = {peer.peer_id: acc for peer, acc in zip(initial, accuracy)}
 
     sched = Scheduler()
     # the peers that wake on each pending tick, in the order they were scheduled

@@ -317,21 +317,27 @@ class Peer:
         ``trained`` is this peer's ``params`` after its local steps and
         ``own_loss`` their loss on its eval set, as :func:`local_steps`
         returns them; the update header claims that loss, and the incentive
-        check judges candidates against it.  Returns False when a ledger
-        rejection aborted the iteration.  ``params`` and ``iteration`` are
-        assigned last, so an abort leaves them as they were before training;
-        it undoes nothing else: the peer's RNG stays advanced, and whatever
-        the iteration did before the rejection remains.  That can be the
-        block written to the store, its queued ``save_hash``,
-        ``validate_update``, reward and penalize transactions, quarantined
-        cids, consumed-log entries and run counters.
+        check judges candidates against it.  Returns False when the
+        iteration was aborted: at once, publishing nothing, when an honest
+        peer's own delta is not finite (its training diverged, and such a
+        delta cannot be clipped), or when a ledger rejection stopped it.
+        ``params`` and ``iteration`` are assigned last, so an abort leaves
+        them as they were before training; it undoes nothing else: the
+        peer's RNG stays advanced, and whatever the iteration did before the
+        rejection remains.  That can be the block written to the store, its
+        queued ``save_hash``, ``validate_update``, reward and penalize
+        transactions, quarantined cids, consumed-log entries and run
+        counters.
         """
         cfg = ctx.cfg
         byzantine = self.peer_id in cfg.byzantine_peers
+        # only owned coordinates are combined; all others keep the baseline
+        owned = segment_coords(trained, self.segment).owned
+        delta = gather(trained.buf, owned) - gather(self.baseline.buf, owned)
+        if not byzantine and not np.isfinite(delta).all():
+            ctx.aborted_iterations += 1
+            return False
         try:
-            # only owned coordinates are combined; all others keep the baseline
-            owned = segment_coords(trained, self.segment).owned
-            delta = gather(trained.buf, owned) - gather(self.baseline.buf, owned)
             own = (
                 self._hostile_delta(ctx, delta.size)
                 if byzantine

@@ -9,6 +9,7 @@ import hypothesis.strategies as st
 
 from gossipseg.aggregation import (
     TrimConfig,
+    _merge_exchange,
     is_trim_feasible,
     plain_mean,
     trim_bounds,
@@ -143,23 +144,110 @@ def test_trim_config_validation():
     TrimConfig(trim_ratio=0.49)
 
 
+def sorted_mean(vectors, lo, hi):
+    """The trimmed mean as a column-wise sort computes it."""
+    return np.sort(np.stack(vectors), axis=0)[lo:hi].mean(axis=0)
+
+
+# few distinct values, so ties and signed zeros are common
+POOL = [0.0, -0.0, 1.0, -1.0, 2.5, 1e300, -1e-300]
+
+
+@settings(max_examples=200)
 @given(
-    columns=st.lists(
-        st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, 1e300, -1e-300]),
-                 min_size=3, max_size=3),
-        min_size=1, max_size=12,
-    ),
+    n=st.integers(min_value=1, max_value=40),
+    dim=st.sampled_from([1, 3, 17]),
     ratio=st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.45]),
+    data=st.data(),
 )
-def test_in_place_sort_matches_copying_sort_bitwise(columns, ratio):
-    # few distinct values, so ties and signed zeros are common
-    vectors = [np.array(column) for column in columns]
+def test_network_matches_column_sort_bitwise(n, dim, ratio, data):
+    values = data.draw(st.lists(st.sampled_from(POOL), min_size=n * dim, max_size=n * dim))
+    vectors = list(np.array(values).reshape(n, dim))
     before = [v.tobytes() for v in vectors]
-    lo, hi = trim_bounds(len(vectors), ratio)
+    lo, hi = trim_bounds(n, ratio)
     if hi <= lo:
         return
     got = trimmed_mean(vectors, ratio)
-    want = np.sort(np.stack(vectors), axis=0)[lo:hi].mean(axis=0)
-    assert got.tobytes() == want.tobytes()
+    assert got.tobytes() == sorted_mean(vectors, lo, hi).tobytes()
     assert [v.tobytes() for v in vectors] == before
     assert not any(np.shares_memory(got, v) for v in vectors)
+
+
+def test_network_matches_column_sort_bitwise_on_rounded_sums():
+    # random values round differently when summed in another order, which
+    # the exact sums of the small pool above do not
+    rng = np.random.default_rng(8)
+    for n in range(1, 41):
+        for dim in (1, 3, 17):
+            vectors = list(rng.normal(size=(n, dim)) * 10.0 ** rng.integers(-3, 4, size=(n, dim)))
+            for ratio in (0.0, 0.1, 0.2, 0.3):
+                lo, hi = trim_bounds(n, ratio)
+                if hi <= lo:
+                    continue
+                got = trimmed_mean(vectors, ratio)
+                assert got.tobytes() == sorted_mean(vectors, lo, hi).tobytes(), (n, dim, ratio)
+
+
+@settings(max_examples=100)
+@given(
+    n=st.integers(min_value=1, max_value=40),
+    dim=st.sampled_from([1, 3, 17]),
+    ratio=st.sampled_from([0.1, 0.2, 0.3]),
+    data=st.data(),
+)
+def test_network_matches_column_sort_with_nan_and_inf(n, dim, ratio, data):
+    pool = POOL + [np.nan, np.inf, -np.inf]
+    values = data.draw(st.lists(st.sampled_from(pool), min_size=n * dim, max_size=n * dim))
+    vectors = list(np.array(values).reshape(n, dim))
+    lo, hi = trim_bounds(n, ratio)
+    if hi <= lo:
+        return
+    # inf - inf and NaN make NaN means, which both paths must agree on
+    with np.errstate(invalid="ignore"):
+        got = trimmed_mean(vectors, ratio)
+        want = sorted_mean(vectors, lo, hi)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_mixed_sign_zeros_in_every_kept_slot_fall_back_to_the_sort():
+    # a min or max of two tied zeros may return either sign for both outputs
+    rng = np.random.default_rng(4)
+    for n, ratio in ((5, 0.2), (8, 0.25), (20, 0.1)):
+        stacked = np.where(rng.random((n, 17)) < 0.5, -0.0, 0.0)
+        stacked[0] = 1e-3  # the highest value of every column, trimmed
+        stacked[1, 0] = -0.0
+        stacked[2, 0] = 0.0
+        vectors = list(stacked)
+        lo, hi = trim_bounds(n, ratio)
+        assert trimmed_mean(vectors, ratio).tobytes() == sorted_mean(vectors, lo, hi).tobytes()
+
+
+def test_fallback_recomputes_the_whole_call_by_sorting():
+    # ratio 0.1 of 20 keeps 16 values: a one-column slice of them is summed
+    # pairwise, a wider slice row by row
+    rng = np.random.default_rng(5)
+    stacked = rng.normal(size=(20, 4))
+    stacked[7, 0] = np.nan  # past the kept window once sorted, but NaN to a min or max
+    vectors = list(stacked)
+    lo, hi = trim_bounds(20, 0.1)
+    want = sorted_mean(vectors, lo, hi)
+    assert np.isfinite(want).all()
+    assert sorted_mean([v[:1] for v in vectors], lo, hi).tobytes() != want[:1].tobytes()
+    assert trimmed_mean(vectors, 0.1).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_merge_exchange_sorts_every_zero_one_vector(n):
+    # the 0-1 principle: a comparator network that sorts every 0/1 input
+    # sorts every input
+    pairs = _merge_exchange(n)
+    assert all(0 <= i < j < n for i, j in pairs)
+    for bits in range(1 << n):
+        wires = [(bits >> w) & 1 for w in range(n)]
+        for i, j in pairs:
+            wires[i], wires[j] = min(wires[i], wires[j]), max(wires[i], wires[j])
+        assert wires == sorted(wires)
+
+
+def test_merge_exchange_comparator_counts():
+    assert [len(_merge_exchange(n)) for n in (1, 2, 3, 5, 8, 96)] == [0, 1, 3, 9, 19, 1007]

@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 
 from conftest import write_idx
+from gossipseg import trainer
+from gossipseg.aggregation import TrimConfig
 from gossipseg.cli import _RUN_FLAGS, _build_config, build_parser, main
 from gossipseg.config import DataConfig, RunConfig, config_to_dict, load_config, save_config
 from gossipseg.errors import ConfigurationError, LedgerError
@@ -28,6 +30,7 @@ from gossipseg.orchestrator import (
 from gossipseg.model import canonical_bytes
 from gossipseg.peer import Peer
 from gossipseg.privacy import DpConfig
+from gossipseg.scheduler import Scheduler
 
 
 def tiny_config(tmp_path, **overrides):
@@ -290,6 +293,73 @@ def test_rejected_wake_rolls_back_only_that_peer(tmp_path, monkeypatch):
     assert [(r[1], r[3]) for r in by_tick["8"]] == [("0", "2"), ("1", "1"), ("2", "2")]
     # peer 1's model is the one it scored at tick 4, loss and accuracy alike
     assert by_tick["8"][1][4:6] == by_tick["4"][1][4:6]
+
+
+def test_record_scores_each_distinct_model_once(tmp_path, monkeypatch):
+    # the run ends on a leader tick, so only the peers woken on that tick,
+    # after the leader, hold a model other than the one global model
+    cfg = tiny_config(tmp_path, num_peers=8, duration_ticks=40, leader_period=10)
+    assert cfg.duration_ticks % cfg.leader_period == 0
+    phase1 = run_phase1(cfg)
+    # models per test-set evaluate call; None once the scheduler has run
+    scored = []
+    real_evaluate = trainer.evaluate
+    real_run = Scheduler.run_until
+
+    def evaluate(params, x, y, rows=None):
+        if x is phase1.test_data.features:
+            scored.append(len(params.buf))
+        return real_evaluate(params, x, y, rows)
+
+    def run_until(sched, end_tick):
+        real_run(sched, end_tick)
+        scored.append(None)
+
+    monkeypatch.setattr(trainer, "evaluate", evaluate)
+    monkeypatch.setattr(Scheduler, "run_until", run_until)
+    run_phase2(cfg, phase1)
+    rows = [r.split(",") for r in cfg.artifact_paths()["metrics"].read_text().splitlines()[2:]]
+    # the final record's rows are the last num_peers rows
+    woken_last = sum(r[0] == str(cfg.duration_ticks) for r in rows) - cfg.num_peers
+    end = scored.index(None)
+    # every peer starts from the one genesis model
+    assert scored[0] == 1
+    assert sum(scored[end + 1:]) <= woken_last + 1 < cfg.num_peers
+
+
+@pytest.mark.filterwarnings(
+    # the diverged models' logits overflow; numpy's default is to warn
+    "ignore:overflow encountered:RuntimeWarning",
+    "ignore:invalid value encountered:RuntimeWarning",
+)
+def test_diverged_peers_abort_their_iterations_and_the_run_completes(tmp_path):
+    # at trim 0 the plain mean carries the hostile 1e200 delta into the
+    # honest peers' models, whose training then leaves the finite range
+    cfg = RunConfig(
+        num_peers=6,
+        num_clusters=1,
+        duration_ticks=120,
+        paillier_bits=256,
+        byzantine_peers=(1,),
+        byzantine_scale=1e200,
+        trim=TrimConfig(trim_ratio=0.0),
+        out_dir=str(tmp_path / "run"),
+    )
+    with np.errstate(all="warn", under="ignore"):
+        _, report, ctx = run_full(cfg)
+    assert report.aborted_iterations > 0
+    assert report.segment_violations == 0
+    assert ctx.ledger.verify_chain()
+    rows = [r.split(",") for r in cfg.artifact_paths()["metrics"].read_text().splitlines()[2:]]
+    assert "nan" in {r[4] for r in rows}
+    # an aborted iteration publishes nothing
+    published = Counter(
+        tx.caller
+        for block in ctx.ledger.blocks
+        for tx in block.transactions
+        if tx.op == "save_hash" and tx.payload["tag"].startswith("r")
+    )
+    assert all(published[str(pid)] == peer.iteration for pid, peer in ctx.peers.items())
 
 
 def test_metrics_file_format(tmp_path):

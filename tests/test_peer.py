@@ -277,6 +277,24 @@ def test_ledger_rejection_rolls_back_peer_state(tmp_path, monkeypatch):
     assert ctx.aborted_iterations == 1
 
 
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_non_finite_own_delta_aborts_before_publishing(tmp_path, value):
+    ctx = build_ctx(tmp_path)
+    peer = ctx.peers[0]
+    [(trained, own_loss)] = local_steps([peer], ctx.cfg.train)
+    owned = segment_coords(trained, peer.segment).owned
+    trained.buf[owned[-1].stop - 1] = value
+    before_params, before_iter = peer.params.copy(), peer.iteration
+    pending = ctx.ledger.pending_count()
+    assert peer.peer_iteration(ctx, trained, own_loss) is False
+    assert ctx.aborted_iterations == 1
+    assert same_params(peer.params, before_params)
+    assert peer.iteration == before_iter
+    # nothing was published or recorded
+    assert ctx.ledger.pending_count() == pending
+    assert ctx.ledger.hash_records(round_tag(ctx.global_round), {0}) == {}
+
+
 def test_rejection_after_publish_restores_only_peer_fields(tmp_path, monkeypatch):
     ctx = build_ctx(tmp_path, num_peers=2, num_clusters=1, fanout=1)
     assert iterate(ctx.peers[0], ctx)

@@ -91,6 +91,22 @@ def test_sgd_step_is_elementwise(rng):
     )
 
 
+@pytest.mark.parametrize("learning_rate", [0.25, 0.1, 3.0, 0.0])
+def test_sgd_step_matches_the_two_temporary_expression_bitwise(learning_rate):
+    template = init_params(3, 2, 2, np.random.default_rng(0))
+    pool = np.array([0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1e300, 1.0, -0.1])
+    rng = np.random.default_rng(1)
+    params = template.with_buf(rng.choice(pool, size=template.buf.size))
+    delta = template.with_buf(rng.choice(pool, size=template.buf.size))
+    before = params.buf.tobytes(), delta.buf.tobytes()
+    stepped = sgd_step(params, delta, learning_rate)
+    want = params.buf - delta.buf * learning_rate
+    assert stepped.buf.tobytes() == want.tobytes()
+    assert (params.buf.tobytes(), delta.buf.tobytes()) == before
+    assert not np.shares_memory(stepped.buf, params.buf)
+    assert not np.shares_memory(stepped.buf, delta.buf)
+
+
 def test_training_reduces_loss(rng):
     from gossipseg.datasets import synthetic_blobs
 

@@ -280,10 +280,10 @@ def run_phase2(
             stacked = initial_params.with_buf(np.stack([params.buf for params in run]))
             accuracy, loss = trainer.evaluate(stacked, test_x, test_y)
             scores.update(zip(map(id, run), zip(accuracy.tolist(), loss.tolist())))
-        for peer, state in zip(scored, states):
-            acc, loss = scores[id(peer.params)]
+        per_peer = [scores[id(peer.params)] for peer in scored]
+        for peer, (acc, loss), state in zip(scored, per_peer, states):
             rows.append(_metric_row(tick, peer, acc, loss, state))
-        return [scores[id(peer.params)][0] for peer in scored]
+        return [acc for acc, _ in per_peer]
 
     # every peer now holds the initial model, whether its sync succeeded or not
     initial = [peers[pid] for pid in sorted(peers)]

@@ -140,7 +140,8 @@ def dirichlet_partition(
     Dirichlet with concentration ``beta``, realized by normalized Gamma
     draws.  Counts are floored per client; leftover samples are assigned to
     uniformly random clients.  Clients left empty are re-fed a single sample,
-    cycling across classes and taking from the richest shard for that class.
+    cycling across classes and taking from the richest shard for that class;
+    one (clients x classes) count matrix, updated on each move, finds it.
     """
     if num_clients < 1:
         raise ConfigurationError("num_clients must be >= 1")
@@ -166,27 +167,27 @@ def dirichlet_partition(
         for sample in class_idx[offset:]:
             shards[int(rng.integers(num_clients))].append(int(sample))
 
-    # Re-feed empty shards: one sample makes a shard non-empty; donors must
-    # keep at least one sample of their own.
+    # Re-feed empty shards: one sample makes a shard non-empty. The donor is
+    # the first client with the strictly largest count of the class among
+    # those that keep at least one sample of their own.
+    label_counts = np.array(
+        [np.bincount(data.labels[s], minlength=data.num_classes) for s in shards]
+    )
     class_cycle = 0
     for client in range(num_clients):
         while not shards[client]:
             k = class_cycle % data.num_classes
             class_cycle += 1
-            donor = -1
-            donor_count = 0
-            for other in range(num_clients):
-                if other == client or len(shards[other]) < 2:
-                    continue
-                count = sum(1 for i in shards[other] if data.labels[i] == k)
-                if count > donor_count:
-                    donor, donor_count = other, count
-            if donor < 0:
+            donors = np.where(label_counts.sum(axis=1) >= 2, label_counts[:, k], 0)
+            donor = int(donors.argmax())
+            if donors[donor] == 0:
                 continue
             candidates = [i for i in shards[donor] if data.labels[i] == k]
             pick = candidates[int(rng.integers(len(candidates)))]
             shards[donor].remove(pick)
             shards[client].append(pick)
+            label_counts[donor, k] -= 1
+            label_counts[client, k] += 1
     return [np.array(sorted(s), dtype=np.int64) for s in shards]
 
 

@@ -110,13 +110,10 @@ def build_dataset(cfg: RunConfig) -> tuple[LabeledDataset, LabeledDataset]:
         center_scale=data_cfg.center_scale,
         spread=data_cfg.spread,
     )
-    train_idx, test_idx = [], []
-    for k in range(data_cfg.num_classes):
-        block = np.flatnonzero(full.labels == k)
-        train_idx.extend(block[: data_cfg.samples_per_class])
-        test_idx.extend(block[data_cfg.samples_per_class :])
-    train_idx = np.array(train_idx)
-    test_idx = np.array(test_idx)
+    # synthetic_blobs lays the classes out in blocks of per_class rows
+    rows = np.arange(data_cfg.num_classes * per_class).reshape(data_cfg.num_classes, per_class)
+    train_idx = rows[:, : data_cfg.samples_per_class].ravel()
+    test_idx = rows[:, data_cfg.samples_per_class :].ravel()
     train = LabeledDataset(
         full.features[train_idx], full.labels[train_idx], data_cfg.num_classes
     )

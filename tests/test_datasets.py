@@ -93,6 +93,91 @@ def test_small_beta_is_more_skewed_than_large_beta():
     assert mean_max_share(0.1) > mean_max_share(10.0) + 0.1
 
 
+def _reference_partition(data, num_clients, beta, seed):
+    """The partition with a re-feed that re-counts every other shard per
+    attempt; also returns how many shards started empty and how many classes
+    the re-feed skipped for want of a donor."""
+    rng = np.random.default_rng(seed)
+    shards = [[] for _ in range(num_clients)]
+    for k in range(data.num_classes):
+        class_idx = np.flatnonzero(data.labels == k)
+        if class_idx.size == 0:
+            continue
+        class_idx = rng.permutation(class_idx)
+        weights = rng.gamma(beta, 1.0, size=num_clients)
+        total = weights.sum()
+        props = weights / total if total > 0 else np.full(num_clients, 1.0 / num_clients)
+        counts = np.floor(props * class_idx.size).astype(int)
+        offset = 0
+        for client, count in enumerate(counts):
+            shards[client].extend(class_idx[offset : offset + count].tolist())
+            offset += count
+        for sample in class_idx[offset:]:
+            shards[int(rng.integers(num_clients))].append(int(sample))
+    empty = sum(1 for shard in shards if not shard)
+    skipped = 0
+    class_cycle = 0
+    for client in range(num_clients):
+        while not shards[client]:
+            k = class_cycle % data.num_classes
+            class_cycle += 1
+            donor = -1
+            donor_count = 0
+            for other in range(num_clients):
+                if other == client or len(shards[other]) < 2:
+                    continue
+                count = sum(1 for i in shards[other] if data.labels[i] == k)
+                if count > donor_count:
+                    donor, donor_count = other, count
+            if donor < 0:
+                skipped += 1
+                continue
+            candidates = [i for i in shards[donor] if data.labels[i] == k]
+            pick = candidates[int(rng.integers(len(candidates)))]
+            shards[donor].remove(pick)
+            shards[client].append(pick)
+    return [np.array(sorted(s), dtype=np.int64) for s in shards], empty, skipped
+
+
+def _class_blocks(num_classes, samples_per_class):
+    labels = np.repeat(np.arange(num_classes), samples_per_class)
+    return LabeledDataset(np.zeros((len(labels), 1)), labels, num_classes)
+
+
+def _assert_same_shards(data, num_clients, beta, seed):
+    want, empty, skipped = _reference_partition(data, num_clients, beta, seed)
+    got = dirichlet_partition(data, num_clients, beta, seed)
+    assert len(got) == len(want)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    return empty, skipped
+
+
+@settings(deadline=None)
+@given(
+    num_classes=st.sampled_from([2, 4, 8]),
+    samples_per_class=st.integers(min_value=1, max_value=100),
+    num_clients=st.integers(min_value=1, max_value=256),
+    beta=st.sampled_from([0.01, 0.1, 0.5, 10.0]),
+    seed=st.integers(min_value=0, max_value=10**6),
+)
+def test_count_matrix_refeed_matches_reference(num_classes, samples_per_class, num_clients,
+                                               beta, seed):
+    data = _class_blocks(num_classes, samples_per_class)
+    _assert_same_shards(data, min(num_clients, len(data)), beta, seed)
+
+
+@pytest.mark.parametrize("num_classes, samples_per_class, num_clients, beta, seed", [
+    (4, 3, 12, 0.1, 2), (4, 10, 40, 0.01, 1), (8, 5, 40, 0.01, 1), (8, 10, 80, 0.01, 1),
+])
+def test_count_matrix_refeed_cycles_and_skips_classes(num_classes, samples_per_class,
+                                                      num_clients, beta, seed):
+    # more than half the shards start empty, and some class has no donor
+    data = _class_blocks(num_classes, samples_per_class)
+    empty, skipped = _assert_same_shards(data, num_clients, beta, seed)
+    assert 2 * empty > num_clients
+    assert skipped > 0
+
+
 def test_partition_guards():
     rng = np.random.default_rng(2)
     data = synthetic_blobs(num_classes=2, samples_per_class=3, input_dim=2, rng=rng)

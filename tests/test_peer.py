@@ -417,14 +417,38 @@ def test_byzantine_peer_publishes_saturated_update(tmp_path):
     assert update.claimed_loss == 0.0
 
 
-def test_cluster_mates_match_brute_force(tmp_path):
-    ctx = build_ctx(tmp_path, num_peers=5, num_clusters=2)
-    for pid, peer in ctx.peers.items():
-        want = sorted(
-            p for p, other in ctx.peers.items()
-            if other.segment.cluster_id == peer.segment.cluster_id and p != pid
-        )
-        assert ctx.cluster_mates[pid].tolist() == want
+@pytest.mark.parametrize("num_peers, num_clusters, fanout", [
+    (1, 1, 1), (5, 1, 2), (5, 2, 1), (5, 4, 3), (7, 3, 2), (8, 4, 1), (9, 2, 8), (6, 3, 0),
+])
+def test_collect_draws_match_brute_force_mates(tmp_path, num_peers, num_clusters, fanout):
+    # drawing positions among the other members picks what ``choice`` over
+    # the sorted mates array picks, from the same generator draws
+    ctx = build_ctx(tmp_path, num_peers=num_peers, num_clusters=num_clusters, fanout=fanout)
+    assert sum(len(ids) for ids in ctx.members.values()) == num_peers
+    asked = []
+    real_records = ctx.ledger.hash_records
+
+    def recording_records(round_tag, peers):
+        asked.append(peers)
+        return real_records(round_tag, peers)
+
+    ctx.ledger.hash_records = recording_records
+    for _ in range(3):
+        for pid, peer in ctx.peers.items():
+            mates = np.array(sorted(
+                p for p, other in ctx.peers.items()
+                if other.segment.cluster_id == peer.segment.cluster_id and p != pid
+            ), dtype=np.int64)
+            oracle = np.random.Generator(np.random.PCG64())
+            oracle.bit_generator.state = peer.rng.bit_generator.state
+            asked.clear()
+            assert peer._collect(ctx) == []
+            if len(mates) == 0 or fanout == 0:
+                assert asked == []
+            else:
+                want = oracle.choice(mates, size=min(fanout, len(mates)), replace=False)
+                assert asked == [set(want.tolist())]
+            assert peer.rng.bit_generator.state == oracle.bit_generator.state
 
 
 @pytest.mark.parametrize("trim_ratio, fallbacks", [(0.0, 0), (0.2, 3)])

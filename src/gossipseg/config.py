@@ -53,15 +53,11 @@ class RunConfig:
     seed: int = 42
     duration_ticks: int = 500
     leader_period: int = 50
-    seal_period: int = 10
     interval_min: int = 3
     interval_max: int = 8
     fanout: int = 2
     cluster_dp: bool = False
     paillier_bits: int = 1024
-    initial_tokens: int = 1000
-    reward_amount: int = 10
-    penalty_amount: int = 10
     penalty_loss_delta: float = 0.5
     byzantine_peers: tuple[int, ...] = ()
     byzantine_scale: float = 1000.0
@@ -85,10 +81,11 @@ class RunConfig:
             raise ConfigurationError("beta must be positive and finite")
         if self.duration_ticks < 0:
             raise ConfigurationError("duration_ticks must be >= 0")
-        if self.leader_period < 1 or self.seal_period < 1:
-            raise ConfigurationError("periods must be >= 1")
-        if not 1 <= self.interval_min <= self.interval_max:
-            raise ConfigurationError("need 1 <= interval_min <= interval_max")
+        if self.leader_period < 1:
+            raise ConfigurationError("leader_period must be >= 1")
+        # a wake interval is drawn as a signed 64-bit integer
+        if not 1 <= self.interval_min <= self.interval_max <= 2**63 - 1:
+            raise ConfigurationError("need 1 <= interval_min <= interval_max <= 2**63 - 1")
         if self.fanout < 0:
             raise ConfigurationError("fanout must be >= 0")
         if self.trim.trim_ratio > 0 and not is_trim_feasible(
@@ -99,8 +96,6 @@ class RunConfig:
             )
         if self.paillier_bits < 256:
             raise ConfigurationError("paillier_bits must be >= 256")
-        if min(self.initial_tokens, self.reward_amount, self.penalty_amount) < 0:
-            raise ConfigurationError("token amounts must be >= 0")
         if not 0 <= self.penalty_loss_delta < math.inf:
             raise ConfigurationError("penalty_loss_delta must be finite and >= 0")
         for pid in self.byzantine_peers:

@@ -56,14 +56,12 @@ class SegmentSpec:
 class SegmentCoords:
     """The coordinates of ``buf`` one segment owns, as ranges in buffer order.
 
-    ``owned`` is the lower layers, the segment's rows of the final weights
-    and its bias entries; ``rows`` is only those two final-layer ranges;
-    ``foreign`` is every other coordinate, all in the final layer.  Some
-    ranges may be empty.
+    ``owned`` is the lower layers, then the segment's rows of the final
+    weights and its bias entries; ``foreign`` is every other coordinate, all
+    in the final layer.  Some ranges may be empty.
     """
 
     owned: tuple[slice, ...]
-    rows: tuple[slice, ...]
     foreign: tuple[slice, ...]
 
 
@@ -166,10 +164,6 @@ class ModelParams:
         return self._views[-1]
 
     @property
-    def num_output_units(self) -> int:
-        return self.shapes[-1][0]
-
-    @property
     def lower_size(self) -> int:
         """Entries of ``buf`` held by the lower layers; the final layer follows."""
         return self._layout.final
@@ -214,15 +208,14 @@ def segment_boundaries(num_units: int, num_segments: int) -> list[SegmentSpec]:
     return specs
 
 
-def mask_to_segment(
-    update: ModelParams, seg: SegmentSpec | Sequence[SegmentSpec]
-) -> ModelParams:
-    """Zero all final-layer rows outside ``seg``; lower layers pass through.
+def mask_to_segment(update: ModelParams, segs: Sequence[SegmentSpec]) -> ModelParams:
+    """Zero all final-layer rows outside each model's segment; lower layers
+    pass through.
 
-    A stacked ``update`` takes one segment per model, in row order.
+    ``segs`` holds one segment per model of ``update``, in row order: one
+    for a single model.
     """
     masked = update.copy()
-    segs = [seg] if isinstance(seg, SegmentSpec) else seg
     for row, spec in zip(masked.buf.reshape(-1, masked.buf.shape[-1]), segs, strict=True):
         for r in segment_coords(update, spec).foreign:
             row[r] = 0.0
@@ -243,7 +236,6 @@ def segment_coords(template: ModelParams, seg: SegmentSpec) -> SegmentCoords:
         )
         layout.segments[seg] = SegmentCoords(
             owned=(slice(0, layout.final), *rows),
-            rows=rows,
             foreign=(
                 slice(weights, rows[0].start),
                 slice(rows[0].stop, rows[1].start),

@@ -35,6 +35,8 @@ from .scheduler import Scheduler
 
 METRICS_HEADER = "tick,peer_id,cluster_id,iteration,loss,accuracy,tokens,cumulative_gas"
 METRICS_VERSION_LINE = "# gossipseg-metrics v1"
+# ticks between two ledger block seals
+SEAL_PERIOD = 10
 
 
 def derive_seed(base: int, label: str) -> int:
@@ -154,7 +156,7 @@ def run_phase1(cfg: RunConfig) -> Phase1Result:
         train_data, cfg.num_peers, cfg.beta, derive_seed(cfg.seed, "partition")
     )
     store = BlockStore(paths["cas"])
-    ledger = Ledger(initial_tokens=cfg.initial_tokens)
+    ledger = Ledger()
     keypair = paillier.keygen(cfg.paillier_bits, seed=derive_seed(cfg.seed, "paillier"))
     ledger.deploy_contracts(
         {"paillier_n": str(keypair.public.n), "paillier_g": str(keypair.public.g)}
@@ -323,7 +325,7 @@ def run_phase2(
 
     for tick in range(cfg.leader_period, cfg.duration_ticks + 1, cfg.leader_period):
         sched.at(tick, leader_tick)
-    for tick in range(cfg.seal_period, cfg.duration_ticks + 1, cfg.seal_period):
+    for tick in range(SEAL_PERIOD, cfg.duration_ticks + 1, SEAL_PERIOD):
         sched.at(tick, seal_tick)
     for pid in sorted(peers):
         schedule_wake(peers[pid], 0)

@@ -2,9 +2,12 @@
 
 Updates travel as parameter deltas relative to the publisher's last global
 sync point.  A peer's wire bytes carry a small header (round, sender,
-cluster, claimed loss) followed by the canonical tensor encoding; the header
-loss is advisory only, incentive decisions always use the receiver's own
-evaluation.
+cluster, claimed loss) followed by the canonical tensor encoding of a full
+buffer that is zero outside the sender's segment.  The header's cluster id
+and claimed loss are written, never read: a receiver decodes by the sender's
+ledger segment, and incentive decisions always use the receiver's own
+evaluation.  :func:`encode_update` and :func:`decode_update` are the only
+code that knows this format.
 """
 from __future__ import annotations
 
@@ -49,6 +52,10 @@ REWARD = "reward"
 PENALTY = "penalty"
 NEUTRAL = "neutral"
 
+# tokens a rewarded or penalized peer gains or loses
+REWARD_AMOUNT = 10
+PENALTY_AMOUNT = 10
+
 
 def round_tag(round_index: int) -> str:
     return f"r{round_index}"
@@ -58,46 +65,42 @@ def global_tag(round_index: int) -> str:
     return f"g{round_index}"
 
 
-@dataclass(frozen=True)
-class UpdatePayload:
-    """Decoded wire update."""
-
-    delta: ModelParams
-    round_index: int
-    sender: int
-    cluster_id: int
-    claimed_loss: float
-
-
 def encode_update(
-    delta: ModelParams,
+    owned: np.ndarray,
+    template: ModelParams,
+    segment: SegmentSpec,
     round_index: int,
     sender: int,
-    cluster_id: int,
     claimed_loss: float,
 ) -> bytes:
+    """The wire bytes of an update holding ``owned`` on the coordinates
+    ``segment`` owns in ``template``'s geometry."""
     header = _UPDATE_MAGIC + struct.pack(
-        "<HIIHd", _UPDATE_VERSION, round_index, sender, cluster_id, claimed_loss
+        "<HIIHd", _UPDATE_VERSION, round_index, sender, segment.cluster_id, claimed_loss
     )
-    return header + canonical_bytes(delta)
+    buf = np.zeros_like(template.buf)
+    for r, part in split_over(owned, segment_coords(template, segment).owned):
+        buf[r] = part
+    return header + canonical_bytes(template.with_buf(buf))
 
 
-def decode_update(buf: bytes) -> UpdatePayload:
+def decode_update(
+    buf: bytes, template: ModelParams, segment: SegmentSpec
+) -> tuple[int, int, np.ndarray]:
+    """The round, sender and owned values of :func:`encode_update` bytes.
+
+    Malformed bytes, and an update of any geometry but ``template``'s, raise
+    :class:`SerializationError`.
+    """
     if len(buf) < 24 or buf[:4] != _UPDATE_MAGIC:
         raise SerializationError("bad update magic")
-    version, round_index, sender, cluster_id, claimed_loss = struct.unpack_from(
-        "<HIIHd", buf, 4
-    )
+    version, round_index, sender = struct.unpack_from("<HII", buf, 4)
     if version != _UPDATE_VERSION:
         raise SerializationError(f"unsupported update version {version}")
     delta = params_from_bytes(buf[24:])
-    return UpdatePayload(
-        delta=delta,
-        round_index=round_index,
-        sender=sender,
-        cluster_id=cluster_id,
-        claimed_loss=claimed_loss,
-    )
+    if delta.shapes != template.shapes:
+        raise SerializationError("update geometry differs from the model's")
+    return round_index, sender, gather(delta.buf, segment_coords(template, segment).owned)
 
 
 def incentive_check(loss_before: float, loss_after: float, tolerance: float) -> str:
@@ -148,7 +151,7 @@ class RunContext:
             return
         self.quarantined.add(cid.hex)
         self.integrity_alarms += 1
-        self.ledger.penalize(sender, self.cfg.penalty_amount, reason="integrity")
+        self.ledger.penalize(sender, PENALTY_AMOUNT, reason="integrity")
 
 
 def _robust_combine(
@@ -258,8 +261,8 @@ class Peer:
             ctx.fault_hook(self.peer_id, cid, self.iteration)
         return cid
 
-    def _pull(self, ctx: RunContext, sender: int, cid: Cid) -> UpdatePayload | None:
-        """Fetch, validate and decode one round update.
+    def _pull(self, ctx: RunContext, sender: int, cid: Cid) -> np.ndarray | None:
+        """Fetch, validate and decode one round update: the sender's owned values.
 
         An update that fails the store's re-hash or decoding to this peer's
         geometry is flagged; only an accepted update is logged as consumed.
@@ -278,18 +281,19 @@ class Peer:
         # hash records: the charged check always passes
         ctx.ledger.validate_update(cid, cid, caller=str(self.peer_id))
         try:
-            update = decode_update(content)
+            round_index, claimed_sender, owned = decode_update(
+                content, self.baseline, ctx.peers[sender].segment
+            )
         except SerializationError:
-            update = None
-        if update is None or update.delta.shapes != self.baseline.shapes:
             ctx.flag_bad_update(sender, cid)
             return None
-        if update.sender != sender or update.round_index != ctx.global_round:
+        if claimed_sender != sender or round_index != ctx.global_round:
             return None
         ctx.consumed_log.append((self.peer_id, sender, cid.hex))
-        return update
+        return owned
 
-    def _collect(self, ctx: RunContext) -> list[UpdatePayload]:
+    def _collect(self, ctx: RunContext) -> list[tuple[int, np.ndarray]]:
+        """Each accepted update of this round's drawn mates, as (sender, owned values)."""
         cfg = ctx.cfg
         members = ctx.members[self.segment.cluster_id]
         others = len(members) - 1
@@ -301,8 +305,8 @@ class Peer:
         picks += picks >= np.searchsorted(members, self.peer_id)
         chosen = set(members[picks].tolist())
         latest = ctx.ledger.hash_records(round_tag=round_tag(ctx.global_round), peers=chosen)
-        pulled = [self._pull(ctx, s, latest[s]) for s in sorted(latest)]
-        return [update for update in pulled if update is not None]
+        pulled = [(s, self._pull(ctx, s, latest[s])) for s in sorted(latest)]
+        return [(s, owned) for s, owned in pulled if owned is not None]
 
     # -- one gossip iteration -------------------------------------------------
 
@@ -339,31 +343,24 @@ class Peer:
                 else self._privatize(ctx, delta)
             )
             claimed = 0.0 if byzantine else own_loss
-            published = trained.with_buf(np.zeros_like(trained.buf))
-            for r, part in split_over(own, owned):
-                published.buf[r] = part
             payload = encode_update(
-                published, ctx.global_round, self.peer_id, self.segment.cluster_id, claimed
+                own, trained, self.segment, ctx.global_round, self.peer_id, claimed
             )
             self._publish(ctx, payload)
 
             updates = self._collect(ctx)
-            pulled = [gather(update.delta.buf, owned) for update in updates]
+            pulled = [values for _, values in updates]
             if pulled:
                 # every candidate is scored on this peer's eval set in one stacked call
                 _, losses = trainer.evaluate(
                     self._rebased(owned, pulled), self.eval_features, self.eval_labels
                 )
-                for update, loss_after in zip(updates, losses.tolist()):
+                for (sender, _), loss_after in zip(updates, losses.tolist()):
                     verdict = incentive_check(own_loss, loss_after, cfg.penalty_loss_delta)
                     if verdict == REWARD:
-                        ctx.ledger.reward(
-                            update.sender, cfg.reward_amount, reason="loss-improved"
-                        )
+                        ctx.ledger.reward(sender, REWARD_AMOUNT, reason="loss-improved")
                     elif verdict == PENALTY:
-                        ctx.ledger.penalize(
-                            update.sender, cfg.penalty_amount, reason="loss-deviation"
-                        )
+                        ctx.ledger.penalize(sender, PENALTY_AMOUNT, reason="loss-deviation")
 
             vectors = [own, *pulled]
             # alone, or too few updates for a feasible trim: pure local progress
@@ -460,29 +457,29 @@ def leader_duty(leader: Peer, ctx: RunContext) -> Cid:
     round.
     """
     base = ctx.global_params
+    lower = base.lower_size
     latest = ctx.ledger.hash_records(round_tag=round_tag(ctx.global_round), peers=ctx.peers)
     by_cluster: dict[int, list[np.ndarray]] = {}
-    all_flats: list[np.ndarray] = []
+    all_owned: list[np.ndarray] = []
     for sender in sorted(latest):
-        update = leader._pull(ctx, sender, latest[sender])
-        if update is not None:
+        owned = leader._pull(ctx, sender, latest[sender])
+        if owned is not None:
             cluster_id = ctx.peers[sender].segment.cluster_id
-            by_cluster.setdefault(cluster_id, []).append(update.delta.buf)
-            all_flats.append(update.delta.buf)
+            by_cluster.setdefault(cluster_id, []).append(owned)
+            all_owned.append(owned)
 
     theta = base.copy()
     for cluster_id, spec in ctx.segment_specs.items():
-        flats = by_cluster.get(cluster_id)
-        if not flats:
+        updates = by_cluster.get(cluster_id)
+        if not updates:
             ctx.segment_carryovers += 1
             continue
-        rows = segment_coords(base, spec).rows
-        combined = _robust_combine(ctx, [gather(flat, rows) for flat in flats])
-        for r, part in split_over(combined, rows):
+        # an owned vector is the lower layers, then the segment's final-layer rows
+        combined = _robust_combine(ctx, [owned[lower:] for owned in updates])
+        for r, part in split_over(combined, segment_coords(base, spec).owned[1:]):
             theta.buf[r] += part
-    if all_flats:
-        lower = slice(0, base.lower_size)
-        theta.buf[lower] += _robust_combine(ctx, [flat[lower] for flat in all_flats])
+    if all_owned:
+        theta.buf[:lower] += _robust_combine(ctx, [owned[:lower] for owned in all_owned])
     return publish_global(ctx, leader.peer_id, theta)
 
 

@@ -50,7 +50,6 @@ def run_config(tmp_path, tag, **overrides):
         seed=11,
         duration_ticks=130,
         leader_period=30,
-        seal_period=10,
         paillier_bits=512,
         data=DataConfig(num_classes=4, samples_per_class=200, test_per_class=50, input_dim=8),
         out_dir=str(tmp_path / tag),

@@ -63,6 +63,10 @@ def test_validation_failures():
         RunConfig(interval_min=5, interval_max=3)
     with pytest.raises(ConfigurationError):
         RunConfig(byzantine_peers=(8,))
+    # a wake interval is drawn as a signed 64-bit integer
+    with pytest.raises(ConfigurationError):
+        RunConfig(interval_max=2**63)
+    RunConfig(interval_max=2**63 - 1)
 
 
 IDX_PATHS = dict(

@@ -79,8 +79,8 @@ def test_segment_spec_is_inclusive():
 def test_mask_to_segment_zeroes_only_foreign_rows(rng):
     params = make_params(rng)
     spec = SegmentSpec(cluster_id=1, start=2, end=3)
-    masked = mask_to_segment(params, spec)
-    for row in range(params.num_output_units):
+    masked = mask_to_segment(params, [spec])
+    for row in range(params.shapes[-1][0]):
         if spec.start <= row <= spec.end:
             assert np.array_equal(masked.last_layer_weights[row], params.last_layer_weights[row])
             assert masked.last_layer_bias[row] == params.last_layer_bias[row]
@@ -125,7 +125,7 @@ def test_segment_coordinate_mask_counts(rng):
     assert owned.size == lower_size + spec.size * (hidden + 1)
     assert owned.size + foreign.size == params.buf.size
     # masked delta has zero support outside the owned coordinates
-    flat = mask_to_segment(params, spec).buf
+    flat = mask_to_segment(params, [spec]).buf
     assert not flat[foreign].any()
     assert np.array_equal(flat[owned], params.buf[owned])
     # built once per geometry and spec, and callers cannot corrupt the cached copy
@@ -149,7 +149,8 @@ def test_segment_coords_index_what_the_segment_owns(rng):
     final = tensor_of >= len(params.lower_layers)
     inside = (row_of >= spec.start) & (row_of <= spec.end)
     assert indices(coords.owned).tolist() == np.flatnonzero(~final | inside).tolist()
-    assert indices(coords.rows).tolist() == np.flatnonzero(final & inside).tolist()
+    # the lower layers are the first owned range; the segment's rows follow
+    assert indices(coords.owned[1:]).tolist() == np.flatnonzero(final & inside).tolist()
     assert indices(coords.foreign).tolist() == np.flatnonzero(final & ~inside).tolist()
 
 
@@ -173,7 +174,7 @@ def test_segment_outside_the_final_layer_is_rejected(rng):
     with pytest.raises(ShapeMismatchError):
         segment_coords(params, spec)
     with pytest.raises(ShapeMismatchError):
-        mask_to_segment(params, spec)
+        mask_to_segment(params, [spec])
 
 
 def test_canonical_bytes_roundtrip_bitwise(rng):
@@ -247,7 +248,7 @@ def test_codec_matches_per_tensor_reference(tensors):
         assert decoded.buf.tobytes() == b"".join(v.tobytes() for v in views)
     if back.buf.size:
         back.tensors()[-1][0] = 1.5
-        assert back.buf[back.buf.size - back.num_output_units] == 1.5
+        assert back.buf[back.buf.size - back.shapes[-1][0]] == 1.5
 
 
 def test_params_from_bytes_rejects_malformed_geometry():

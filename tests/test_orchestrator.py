@@ -41,7 +41,6 @@ def tiny_config(tmp_path, **overrides):
         seed=11,
         duration_ticks=40,
         leader_period=10,
-        seal_period=10,
         paillier_bits=512,
         data=DataConfig(num_classes=4, samples_per_class=60, test_per_class=15, input_dim=4),
         dp=DpConfig(clip_norm=5.0, sigma_max=0.01, sigma_min=0.001, total_rounds=50),

@@ -1,5 +1,7 @@
 """Gossip protocol unit tests: wire format, incentives, discipline, leader."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from gossipseg.model import (
 from gossipseg.peer import (
     NEUTRAL,
     PENALTY,
+    PENALTY_AMOUNT,
     REWARD,
     Peer,
     RunContext,
@@ -51,7 +54,7 @@ def build_ctx(tmp_path, num_peers=2, num_clusters=2, fanout=1, trim_ratio=0.0,
         train=TrainConfig(batch_size=16),
         out_dir=str(tmp_path),
     )
-    ledger = Ledger(initial_tokens=cfg.initial_tokens)
+    ledger = Ledger()
     ledger.deploy_contracts()
     for pid in range(num_peers):
         ledger.register(pid, f"cred-{pid}")
@@ -96,8 +99,26 @@ def same_params(a, b):
 
 
 def local_delta(peer):
-    delta = peer.params.with_buf(peer.params.buf - peer.baseline.buf)
-    return mask_to_segment(delta, peer.segment)
+    """The peer's delta from its baseline on the coordinates it owns."""
+    owned = segment_coords(peer.params, peer.segment).owned
+    return gather(peer.params.buf, owned) - gather(peer.baseline.buf, owned)
+
+
+def wire_bytes(full, round_index, sender, cluster_id, claimed_loss):
+    """Update bytes built apart from the codec: the GSU1 header, then the
+    canonical encoding of a full buffer."""
+    header = b"GSU1" + struct.pack("<HIIHd", 1, round_index, sender, cluster_id, claimed_loss)
+    return header + canonical_bytes(full)
+
+
+def header_fields(content):
+    """(version, round, sender, cluster id, claimed loss) of update bytes."""
+    return struct.unpack_from("<HIIHd", content, 4)
+
+
+def stored_full(ctx, cid):
+    """The full buffer an update in the store holds, read past its header."""
+    return params_from_bytes(ctx.store.get(cid)[24:])
 
 
 def penalize_rows(ledger):
@@ -116,27 +137,41 @@ def test_round_tags():
 
 
 def test_update_wire_roundtrip(rng):
-    delta = init_params(4, 6, 4, rng)
-    buf = encode_update(delta, 7, 3, 1, 0.875)
-    assert buf.startswith(b"GSU1")
-    back = decode_update(buf)
-    assert back.round_index == 7
-    assert back.sender == 3
-    assert back.cluster_id == 1
-    assert back.claimed_loss == 0.875
-    assert same_params(back.delta, delta)
+    # the bytes are a zero full buffer with the owned values scattered in,
+    # placed here through the tensor views rather than the segment's ranges
+    for input_dim, hidden, classes in ((8, 16, 4), (64, 512, 32)):
+        template = init_params(input_dim, hidden, classes, rng)
+        other = init_params(input_dim, hidden + 1, classes, rng)
+        lower = sum(t.size for t in template.lower_layers)
+        for num_segments in (1, 2, 3, 4):
+            for spec in segment_boundaries(classes, num_segments):
+                owned = rng.normal(size=lower + spec.size * (hidden + 1))
+                full = template.with_buf(np.zeros_like(template.buf))
+                full.buf[:lower] = owned[:lower]
+                weights = owned[lower : lower + spec.size * hidden]
+                full.last_layer_weights[spec.rows()] = weights.reshape(spec.size, hidden)
+                full.last_layer_bias[spec.rows()] = owned[lower + spec.size * hidden :]
+                buf = encode_update(owned, template, spec, 7, 3, 0.875)
+                assert buf == wire_bytes(full, 7, 3, spec.cluster_id, 0.875)
+                round_index, sender, back = decode_update(buf, template, spec)
+                assert (round_index, sender) == (7, 3)
+                assert back.tobytes() == owned.tobytes()
+                with pytest.raises(SerializationError):
+                    decode_update(wire_bytes(other, 7, 3, spec.cluster_id, 0.875), template, spec)
 
 
 def test_update_wire_rejects_garbage(rng):
-    delta = init_params(4, 6, 4, rng)
-    good = encode_update(delta, 0, 0, 0, 0.0)
+    template = init_params(4, 6, 4, rng)
+    spec = segment_boundaries(4, 2)[0]
+    owned = gather(template.buf, segment_coords(template, spec).owned)
+    good = encode_update(owned, template, spec, 0, 0, 0.0)
     with pytest.raises(SerializationError):
-        decode_update(b"XXXX" + good[4:])
+        decode_update(b"XXXX" + good[4:], template, spec)
     with pytest.raises(SerializationError):
-        decode_update(good[:10])
+        decode_update(good[:10], template, spec)
     wrong_version = good[:4] + b"\x63\x00" + good[6:]
     with pytest.raises(SerializationError):
-        decode_update(wrong_version)
+        decode_update(wrong_version, template, spec)
 
 
 def test_incentive_check_frozen_cases():
@@ -163,7 +198,7 @@ def test_privatize_noise_confined_to_owned_coordinates(tmp_path):
     ctx = build_ctx(tmp_path, sigma=0.5, clip=1.0)
     peer = ctx.peers[0]
     assert iterate(peer, ctx)
-    flat = decode_update(ctx.store.get(published_cid(ctx, peer.peer_id))).delta.buf
+    flat = stored_full(ctx, published_cid(ctx, peer.peer_id)).buf
     coords = segment_coords(peer.params, peer.segment)
     assert not gather(flat, coords.foreign).any()
     assert gather(flat, coords.owned).all()  # gaussian draws are nonzero a.s.
@@ -180,7 +215,7 @@ def test_hostile_delta_saturates_owned_coordinates(tmp_path):
 def test_publish_records_hash_once(tmp_path):
     ctx = build_ctx(tmp_path)
     peer = ctx.peers[0]
-    payload = encode_update(local_delta(peer), 0, 0, 0, 0.0)
+    payload = encode_update(local_delta(peer), peer.params, peer.segment, 0, 0, 0.0)
     cid1 = peer._publish(ctx, payload)
     cid2 = peer._publish(ctx, payload)  # same bytes: dedup, no replay error
     assert cid1 == cid2
@@ -195,7 +230,7 @@ def test_iteration_keeps_foreign_rows_bitwise(tmp_path):
             assert iterate(ctx.peers[pid], ctx)
     assert ctx.segment_violations == 0
     for peer in ctx.peers.values():
-        foreign = np.ones(peer.params.num_output_units, dtype=bool)
+        foreign = np.ones(peer.params.shapes[-1][0], dtype=bool)
         foreign[peer.segment.rows()] = False
         assert (
             peer.params.last_layer_weights[foreign].tobytes()
@@ -238,7 +273,7 @@ def test_tampered_update_flagged_and_penalized_once(tmp_path):
     # the second consumer hitting the same cid must not double-charge
     assert sender._pull(ctx, 0, cid) is None
     assert ctx.integrity_alarms == 1
-    assert ctx.ledger.balance(0) == balance_before - ctx.cfg.penalty_amount
+    assert ctx.ledger.balance(0) == balance_before - PENALTY_AMOUNT
     assert len(penalize_rows(ctx.ledger)) == 1
 
 
@@ -367,11 +402,10 @@ def test_leader_duty_matches_manual_reconstruction(tmp_path):
     # oracle: replay the combination from the published wire bytes
     deltas = {}
     flats = []
-    for cid in ctx.ledger.hash_records(round_tag="r0").values():
-        update = decode_update(ctx.store.get(cid))
-        spec = ctx.segment_specs[ctx.peers[update.sender].segment.cluster_id]
-        masked = mask_to_segment(update.delta, spec)
-        deltas[update.sender] = masked
+    for sender, cid in ctx.ledger.hash_records(round_tag="r0").items():
+        spec = ctx.segment_specs[ctx.peers[sender].segment.cluster_id]
+        masked = mask_to_segment(stored_full(ctx, cid), [spec])
+        deltas[sender] = masked
         flats.append(masked.buf)
     lower_mean = base.with_buf(plain_mean(flats))
 
@@ -409,12 +443,12 @@ def test_leader_duty_carries_over_silent_segments(tmp_path):
 def test_byzantine_peer_publishes_saturated_update(tmp_path):
     ctx = build_ctx(tmp_path, num_peers=2, num_clusters=1, fanout=1, byzantine=(0,))
     assert iterate(ctx.peers[0], ctx)
-    update = decode_update(ctx.store.get(published_cid(ctx, 0)))
-    flat = update.delta.buf
-    coords = segment_coords(update.delta, ctx.peers[0].segment)
+    cid = published_cid(ctx, 0)
+    flat = stored_full(ctx, cid).buf
+    coords = segment_coords(ctx.peers[0].params, ctx.peers[0].segment)
     assert set(np.unique(np.abs(gather(flat, coords.owned)))) == {ctx.cfg.byzantine_scale}
     assert not gather(flat, coords.foreign).any()
-    assert update.claimed_loss == 0.0
+    assert header_fields(ctx.store.get(cid))[-1] == 0.0  # the claimed loss
 
 
 @pytest.mark.parametrize("num_peers, num_clusters, fanout", [
@@ -468,7 +502,7 @@ def publish_dense_update(ctx, sender, seed, hidden=6):
     """A well-formed update with every coordinate nonzero, foreign rows included."""
     delta = init_params(4, hidden, 4, np.random.default_rng(seed))
     peer = ctx.peers[sender]
-    payload = encode_update(delta, ctx.global_round, sender, peer.segment.cluster_id, 0.0)
+    payload = wire_bytes(delta, ctx.global_round, sender, peer.segment.cluster_id, 0.0)
     return peer._publish(ctx, payload)
 
 
@@ -512,7 +546,7 @@ def test_single_pulled_update_too_few_to_trim_keeps_own_delta(tmp_path):
     assert iterate(peer, ctx)
     assert [(c, s) for c, s, _ in ctx.consumed_log] == [(1, 0)]
     assert ctx.trim_fallbacks == 1
-    own = decode_update(ctx.store.get(published_cid(ctx, peer.peer_id))).delta
+    own = stored_full(ctx, published_cid(ctx, peer.peer_id))
     assert peer.params.buf.tobytes() == (peer.baseline.buf + own.buf).tobytes()
 
 
@@ -533,9 +567,9 @@ def reference_leader(ctx, base):
     latest = ctx.ledger.hash_records(round_tag="r0")
     by_cluster, all_flats = {}, []
     for sender in sorted(latest):
-        update = decode_update(ctx.store.get(latest[sender]))
         cluster_id = ctx.peers[sender].segment.cluster_id
-        masked = mask_to_segment(update.delta, ctx.segment_specs[cluster_id]).buf
+        spec = ctx.segment_specs[cluster_id]
+        masked = mask_to_segment(stored_full(ctx, latest[sender]), [spec]).buf
         by_cluster.setdefault(cluster_id, []).append(masked)
         all_flats.append(masked)
     theta = base.copy()
@@ -543,7 +577,7 @@ def reference_leader(ctx, base):
     theta.buf[:lower] += reference_combine(all_flats, trim_ratio)[:lower]
     for cluster_id in sorted(by_cluster):
         combined = base.with_buf(reference_combine(by_cluster[cluster_id], trim_ratio))
-        theta.buf[lower:] += mask_to_segment(combined, ctx.segment_specs[cluster_id]).buf[lower:]
+        theta.buf[lower:] += mask_to_segment(combined, [ctx.segment_specs[cluster_id]]).buf[lower:]
     return theta
 
 
@@ -590,8 +624,12 @@ def test_peer_iteration_matches_full_buffer_reference(tmp_path, trim_ratio, clus
     assert iterate(peer, ctx)
     assert len(collected) == per_combine - 1
 
-    own = decode_update(ctx.store.get(published_cid(ctx, peer.peer_id))).delta.buf
-    vectors = [own] + [mask_to_segment(u.delta, peer.segment).buf for u in collected]
+    latest = ctx.ledger.hash_records(round_tag="r0")
+    own = stored_full(ctx, latest[peer.peer_id]).buf
+    vectors = [own] + [
+        mask_to_segment(stored_full(ctx, latest[sender]), [peer.segment]).buf
+        for sender, _ in collected
+    ]
     combined = (
         own if len(vectors) == 1 else reference_combine(vectors, trim_ratio, fallback=own)
     )
@@ -614,7 +652,7 @@ def test_leader_round_without_accepted_updates_returns_base(tmp_path):
 def test_audit_counts_one_ulp_write_to_a_foreign_row(tmp_path, tensor):
     ctx = build_ctx(tmp_path)
     peer = ctx.peers[0]
-    assert peer.segment.end + 1 < peer.params.num_output_units
+    assert peer.segment.end + 1 < peer.params.shapes[-1][0]
     owned_row, foreign_row = peer.segment.start, peer.segment.end + 1
     values = getattr(peer.params, tensor)
     values[owned_row] = np.nextafter(values[owned_row], np.inf)
@@ -719,7 +757,7 @@ def test_local_steps_stacks_every_batch_and_eval_size_exactly(shape):
         x, y = peer._batches(train)
         plain = peer.params
         for step in range(train.local_steps):
-            grad = mask_to_segment(gradient(plain, x[step], y[step]), peer.segment)
+            grad = mask_to_segment(gradient(plain, x[step], y[step]), [peer.segment])
             plain = sgd_step(plain, grad, train.learning_rate)
         _, plain_loss = evaluate(plain, peer.eval_features, peer.eval_labels)
         if len(peer.shard) == 1:

@@ -173,7 +173,7 @@ def test_stacked_local_steps_match_each_model_alone(shape, models, rows):
     alone = []
     for i, model in enumerate(params):
         for step in range(5):
-            grad = mask_to_segment(gradient(model, x[step, i], y[step, i]), segments[i])
+            grad = mask_to_segment(gradient(model, x[step, i], y[step, i]), [segments[i]])
             model = sgd_step(model, grad, 0.1)
         alone.append(model.buf.tobytes())
 

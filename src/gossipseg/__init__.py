@@ -5,13 +5,7 @@ from .aggregation import TrimConfig, plain_mean, trimmed_mean
 from .cas import BlockStore, Cid
 from .clustering import ClusterAssignment, one_shot_cluster
 from .config import DataConfig, RunConfig, load_config, save_config
-from .datasets import (
-    LabeledDataset,
-    LabelDistribution,
-    dirichlet_partition,
-    label_distribution,
-    synthetic_blobs,
-)
+from .datasets import LabeledDataset, dirichlet_partition, synthetic_blobs
 from .ledger import OPERATIONS, Ledger
 from .model import (
     ModelParams,

@@ -6,14 +6,13 @@ Paillier encryptions, which hide nothing from the party that runs this.
 """
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
 from . import paillier
-from .datasets import LabelDistribution
 from .errors import ConfigurationError
 from .privacy import clip_and_noise
 
@@ -36,7 +35,8 @@ def kmeanspp_seed(
     The first seed is uniform over points; each further seed is drawn with
     probability proportional to the squared distance to the nearest seed so
     far.  If every point coincides with a seed the draw falls back to
-    uniform.
+    uniform.  Points so far apart that their squared distances overflow, as
+    heavily noised ones can be, are a rejected input.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or len(points) == 0:
@@ -48,15 +48,20 @@ def kmeanspp_seed(
     centroids = np.empty((num_clusters, points.shape[1]), dtype=np.float64)
     first = int(rng.integers(len(points)))
     centroids[0] = points[first]
-    min_sq = np.sum((points - centroids[0]) ** 2, axis=1)
-    for k in range(1, num_clusters):
-        total = float(min_sq.sum())
-        if total > 0.0:
-            pick = int(rng.choice(len(points), p=min_sq / total))
-        else:
-            pick = int(rng.integers(len(points)))
-        centroids[k] = points[pick]
-        min_sq = np.minimum(min_sq, np.sum((points - centroids[k]) ** 2, axis=1))
+    # a squared distance, or their sum, may overflow to inf; the check on the
+    # total rejects that before any draw
+    with np.errstate(over="ignore"):
+        min_sq = np.sum((points - centroids[0]) ** 2, axis=1)
+        for k in range(1, num_clusters):
+            total = float(min_sq.sum())
+            if not math.isfinite(total):
+                raise ConfigurationError("squared distances between points overflow")
+            if total > 0.0:
+                pick = int(rng.choice(len(points), p=min_sq / total))
+            else:
+                pick = int(rng.integers(len(points)))
+            centroids[k] = points[pick]
+            min_sq = np.minimum(min_sq, np.sum((points - centroids[k]) ** 2, axis=1))
     return centroids
 
 
@@ -73,7 +78,7 @@ def assign_to_nearest(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 
 
 def one_shot_cluster(
-    distributions: Mapping[int, LabelDistribution],
+    probs: np.ndarray,
     num_clusters: int,
     rng: np.random.Generator,
     keypair: paillier.PaillierKeyPair,
@@ -83,7 +88,8 @@ def one_shot_cluster(
 ) -> ClusterAssignment:
     """Cluster peers once by label distribution; no iterative refinement.
 
-    Seeding and assignment happen in a single pass.  When
+    Row p of the (peers x classes) matrix ``probs`` is peer p's label
+    distribution.  Seeding and assignment happen in a single pass.  When
     ``assignment_sigma`` is positive, clipped Gaussian noise is added to the
     plaintext vectors used for seeding and assignment; centroid aggregation
     always uses the true distributions, one packed encryption per peer per
@@ -92,10 +98,9 @@ def one_shot_cluster(
     Empty clusters are repaired by moving in the peer farthest from its
     assigned centroid, taken from a cluster that keeps at least one member.
     """
-    peer_ids = sorted(distributions)
-    if len(peer_ids) < num_clusters:
+    if len(probs) < num_clusters:
         raise ConfigurationError("need at least num_clusters peers")
-    points = np.stack([distributions[p].probs for p in peer_ids])
+    points = probs
     if assignment_sigma > 0.0:
         points = np.stack(
             [clip_and_noise(row, assignment_clip, assignment_sigma, rng) for row in points]
@@ -116,19 +121,18 @@ def one_shot_cluster(
 
     # every registered peer may share a cluster, so slots are sized for all of
     # them; the registry on the ledger gives each peer that count
-    contributors = len(peer_ids)
+    contributors = len(probs)
     centroids: list[np.ndarray] = []
     for k in range(num_clusters):
-        members = [peer_ids[i] for i in np.flatnonzero(labels == k)]
         encrypted = [
             paillier.encrypt_vector(
-                distributions[p].probs,
+                probs[p],
                 keypair.public,
                 blinding,
                 contributors=contributors,
             )
-            for p in members
+            for p in np.flatnonzero(labels == k)
         ]
         centroids.append(paillier.secure_mean(encrypted, keypair))
-    assignment = {peer_ids[i]: int(labels[i]) for i in range(len(peer_ids))}
+    assignment = dict(enumerate(labels.tolist()))
     return ClusterAssignment(assignment=assignment, centroids=centroids)

@@ -37,20 +37,6 @@ class LabeledDataset:
         return len(self.labels)
 
 
-@dataclass(frozen=True)
-class LabelDistribution:
-    """Per-class sample frequencies of one shard; sums to one."""
-
-    probs: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "probs", np.asarray(self.probs, dtype=np.float64))
-        if self.probs.ndim != 1:
-            raise InvalidInputError("distribution must be a vector")
-        if np.any(self.probs < 0) or abs(float(self.probs.sum()) - 1.0) > 1e-9:
-            raise InvalidInputError("distribution must be non-negative and sum to 1")
-
-
 def synthetic_blobs(
     num_classes: int,
     samples_per_class: int,
@@ -133,7 +119,7 @@ def dirichlet_partition(
     num_clients: int,
     beta: float,
     seed: int,
-) -> list[np.ndarray]:
+) -> tuple[list[np.ndarray], np.ndarray]:
     """Split sample indices into ``num_clients`` disjoint, covering shards.
 
     For every class, per-client proportions are drawn from a symmetric
@@ -142,6 +128,9 @@ def dirichlet_partition(
     uniformly random clients.  Clients left empty are re-fed a single sample,
     cycling across classes and taking from the richest shard for that class;
     one (clients x classes) count matrix, updated on each move, finds it.
+
+    Returns the shards, as sorted index arrays, and that count matrix: row i
+    counts shard i's labels.
     """
     if num_clients < 1:
         raise ConfigurationError("num_clients must be >= 1")
@@ -188,13 +177,4 @@ def dirichlet_partition(
             shards[client].append(pick)
             label_counts[donor, k] -= 1
             label_counts[client, k] += 1
-    return [np.array(sorted(s), dtype=np.int64) for s in shards]
-
-
-def label_distribution(shard: np.ndarray, data: LabeledDataset) -> LabelDistribution:
-    """Class frequency vector of one shard."""
-    shard = np.asarray(shard, dtype=np.int64)
-    if shard.size == 0:
-        raise InvalidInputError("shard is empty")
-    counts = np.bincount(data.labels[shard], minlength=data.num_classes).astype(np.float64)
-    return LabelDistribution(counts / counts.sum())
+    return [np.array(sorted(s), dtype=np.int64) for s in shards], label_counts

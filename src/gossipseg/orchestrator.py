@@ -11,7 +11,7 @@ import hashlib
 import json
 import os
 import random
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -20,13 +20,7 @@ from . import paillier, trainer
 from .cas import BlockStore
 from .clustering import ClusterAssignment, one_shot_cluster
 from .config import RunConfig, save_config
-from .datasets import (
-    LabeledDataset,
-    dirichlet_partition,
-    label_distribution,
-    load_idx_dataset,
-    synthetic_blobs,
-)
+from .datasets import LabeledDataset, dirichlet_partition, load_idx_dataset, synthetic_blobs
 from .errors import ConfigurationError
 from .ledger import Ledger, gas_report
 from .model import SegmentSpec, segment_boundaries
@@ -152,7 +146,7 @@ def run_phase1(cfg: RunConfig) -> Phase1Result:
         if not existing.is_dir():
             raise ConfigurationError(f"output directory {out_dir}: {existing} is not a directory")
     train_data, test_data = build_dataset(cfg)
-    shards = dirichlet_partition(
+    shards, label_counts = dirichlet_partition(
         train_data, cfg.num_peers, cfg.beta, derive_seed(cfg.seed, "partition")
     )
     store = BlockStore(paths["cas"])
@@ -166,12 +160,9 @@ def run_phase1(cfg: RunConfig) -> Phase1Result:
             f"{cfg.seed}:{pid}:credential".encode("utf-8")
         ).hexdigest()
         ledger.register(pid, credential)
-    distributions = {
-        pid: label_distribution(shards[pid], train_data) for pid in range(cfg.num_peers)
-    }
     cluster_rng = np.random.default_rng(derive_seed(cfg.seed, "clustering"))
     assignment = one_shot_cluster(
-        distributions,
+        label_counts / label_counts.sum(axis=1, keepdims=True),
         cfg.num_clusters,
         cluster_rng,
         keypair,
@@ -180,10 +171,7 @@ def run_phase1(cfg: RunConfig) -> Phase1Result:
         assignment_clip=cfg.dp.clip_norm,
     )
     ledger.save_cluster_centers(assignment.centroids, caller=0)
-    specs = {
-        s.cluster_id: s
-        for s in segment_boundaries(cfg.data.num_classes, cfg.num_clusters)
-    }
+    specs = segment_boundaries(cfg.data.num_classes, cfg.num_clusters)
     for pid in range(cfg.num_peers):
         ledger.assign_segment(pid, specs[assignment.assignment[pid]])
     segments = {pid: ledger.get_segment(pid) for pid in range(cfg.num_peers)}
@@ -263,6 +251,11 @@ def run_phase2(
     for pid in sorted(peers):
         peers[pid].sync_global(ctx)
 
+    # no batch holds more rows than its shard, so no stack is padded wider
+    # than the largest shard
+    largest_shard = max(len(shard) for shard in phase1.shards)
+    train = replace(cfg.train, batch_size=min(cfg.train.batch_size, largest_shard))
+
     rows = [METRICS_VERSION_LINE, METRICS_HEADER]
 
     def record(tick: int, scored: list[Peer], states: list[tuple[int, int]]) -> list[float]:
@@ -317,7 +310,7 @@ def run_phase2(
             if ctx.global_round > peer.synced_round:  # retry a failed sync
                 peer.sync_global(ctx)
         states = []
-        for peer, (trained, own_loss) in zip(woken, local_steps(woken, cfg.train)):
+        for peer, (trained, own_loss) in zip(woken, local_steps(woken, train)):
             peer.peer_iteration(ctx, trained, own_loss)
             states.append(_ledger_state(ctx, peer))
             schedule_wake(peer, tick)

@@ -7,7 +7,6 @@ import pytest
 
 from gossipseg import paillier
 from gossipseg.clustering import assign_to_nearest, kmeanspp_seed, one_shot_cluster
-from gossipseg.datasets import LabelDistribution
 from gossipseg.errors import ConfigurationError
 
 
@@ -53,6 +52,16 @@ def test_seed_guards(rng):
         kmeanspp_seed(np.zeros((3, 2)), 0, rng)
 
 
+def test_seed_rejects_overflowing_distances(rng):
+    # squared distances of 1e160-scale points overflow to inf; the draw's
+    # probabilities would be NaN
+    points = np.array([[0.0, 0.0], [1e160, 0.0], [0.0, -1e160]])
+    with pytest.raises(ConfigurationError, match="overflow"):
+        kmeanspp_seed(points, 2, rng)
+    # one seed draws nothing by distance
+    assert kmeanspp_seed(points, 1, rng).shape == (1, 2)
+
+
 def assign_oracle(points, centroids):
     """Double loop with explicit lowest-index tie break."""
     out = []
@@ -80,22 +89,20 @@ def test_assignment_tie_goes_to_lowest_index():
 
 
 def uniformish_distributions(rng, peers, classes=4):
-    out = {}
-    for pid in peers:
-        w = rng.random(classes) + 0.1
-        out[pid] = LabelDistribution(w / w.sum())
-    return out
+    w = rng.random((peers, classes)) + 0.1
+    return w / w.sum(axis=1, keepdims=True)
 
 
 def grouped_distributions():
     # peers 0-2 concentrated on class 0, peers 3-5 on class 2
-    a = LabelDistribution(np.array([0.9, 0.05, 0.03, 0.02]))
-    b = LabelDistribution(np.array([0.85, 0.1, 0.03, 0.02]))
-    c = LabelDistribution(np.array([0.88, 0.07, 0.03, 0.02]))
-    d = LabelDistribution(np.array([0.02, 0.03, 0.9, 0.05]))
-    e = LabelDistribution(np.array([0.02, 0.03, 0.85, 0.1]))
-    f = LabelDistribution(np.array([0.03, 0.02, 0.88, 0.07]))
-    return dict(enumerate([a, b, c, d, e, f]))
+    return np.array([
+        [0.9, 0.05, 0.03, 0.02],
+        [0.85, 0.1, 0.03, 0.02],
+        [0.88, 0.07, 0.03, 0.02],
+        [0.02, 0.03, 0.9, 0.05],
+        [0.02, 0.03, 0.85, 0.1],
+        [0.03, 0.02, 0.88, 0.07],
+    ])
 
 
 def test_one_shot_groups_similar_peers(small_keypair):
@@ -116,14 +123,13 @@ def test_one_shot_centroids_match_plaintext_means(small_keypair):
     for cid, centroid in enumerate(result.centroids):
         members = [p for p, c in result.assignment.items() if c == cid]
         assert members
-        want = np.mean([dists[p].probs for p in members], axis=0)
+        want = dists[members].mean(axis=0)
         # each component carries at most the fixed-point rounding error
         assert np.max(np.abs(centroid - want)) <= 1.0 / paillier.SCALE
 
 
 def test_one_shot_repairs_empty_clusters(small_keypair):
-    same = LabelDistribution(np.array([0.25, 0.25, 0.25, 0.25]))
-    dists = {0: same, 1: same, 2: same}
+    dists = np.full((3, 4), 0.25)
     result = one_shot_cluster(dists, 2, np.random.default_rng(0), small_keypair, random.Random(13))
     sizes = np.bincount(list(result.assignment.values()), minlength=2)
     assert (sizes >= 1).all()
@@ -144,7 +150,7 @@ def test_one_shot_deterministic(small_keypair):
 
 def test_one_shot_noised_assignment_still_partitions(small_keypair):
     rng = np.random.default_rng(6)
-    dists = uniformish_distributions(np.random.default_rng(3), range(8))
+    dists = uniformish_distributions(np.random.default_rng(3), 8)
     result = one_shot_cluster(
         dists, 3, rng, small_keypair, random.Random(14), assignment_sigma=0.05, assignment_clip=1.0
     )
@@ -157,6 +163,7 @@ def test_one_shot_noised_assignment_still_partitions(small_keypair):
 
 
 def test_one_shot_needs_enough_peers(small_keypair):
-    same = LabelDistribution(np.array([0.5, 0.5]))
     with pytest.raises(ConfigurationError):
-        one_shot_cluster({0: same}, 2, np.random.default_rng(0), small_keypair, random.Random(15))
+        one_shot_cluster(
+            np.array([[0.5, 0.5]]), 2, np.random.default_rng(0), small_keypair, random.Random(15)
+        )

@@ -11,7 +11,6 @@ from conftest import write_idx
 from gossipseg.datasets import (
     LabeledDataset,
     dirichlet_partition,
-    label_distribution,
     load_idx_array,
     load_idx_dataset,
     synthetic_blobs,
@@ -60,7 +59,7 @@ def test_dataset_validation():
 def test_partition_is_exact_cover(num_clients, beta, seed):
     rng = np.random.default_rng(0)
     data = synthetic_blobs(num_classes=3, samples_per_class=30, input_dim=2, rng=rng)
-    shards = dirichlet_partition(data, num_clients, beta, seed)
+    shards, _ = dirichlet_partition(data, num_clients, beta, seed)
     assert len(shards) == num_clients
     assert all(len(s) > 0 for s in shards)
     merged = np.concatenate(shards)
@@ -71,9 +70,9 @@ def test_partition_is_exact_cover(num_clients, beta, seed):
 def test_partition_deterministic():
     rng = np.random.default_rng(0)
     data = synthetic_blobs(num_classes=2, samples_per_class=50, input_dim=2, rng=rng)
-    a = dirichlet_partition(data, 5, 0.5, seed=77)
-    b = dirichlet_partition(data, 5, 0.5, seed=77)
-    c = dirichlet_partition(data, 5, 0.5, seed=78)
+    a, _ = dirichlet_partition(data, 5, 0.5, seed=77)
+    b, _ = dirichlet_partition(data, 5, 0.5, seed=77)
+    c, _ = dirichlet_partition(data, 5, 0.5, seed=78)
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
     assert any(not np.array_equal(x, y) for x, y in zip(a, c))
 
@@ -85,9 +84,8 @@ def test_small_beta_is_more_skewed_than_large_beta():
     def mean_max_share(beta):
         shares = []
         for seed in range(20):
-            for shard in dirichlet_partition(data, 6, beta, seed):
-                probs = label_distribution(shard, data).probs
-                shares.append(probs.max())
+            _, counts = dirichlet_partition(data, 6, beta, seed)
+            shares.extend(counts.max(axis=1) / counts.sum(axis=1))
         return float(np.mean(shares))
 
     assert mean_max_share(0.1) > mean_max_share(10.0) + 0.1
@@ -146,9 +144,12 @@ def _class_blocks(num_classes, samples_per_class):
 
 def _assert_same_shards(data, num_clients, beta, seed):
     want, empty, skipped = _reference_partition(data, num_clients, beta, seed)
-    got = dirichlet_partition(data, num_clients, beta, seed)
+    got, counts = dirichlet_partition(data, num_clients, beta, seed)
     assert len(got) == len(want)
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    # the count matrix, kept up to date through the re-feed, is each shard's recount
+    recount = [np.bincount(data.labels[shard], minlength=data.num_classes) for shard in got]
+    assert np.array_equal(counts, np.array(recount))
     return empty, skipped
 
 
@@ -189,16 +190,16 @@ def test_partition_guards():
         dirichlet_partition(data, 7, 0.5, 1)
 
 
-def test_label_distribution_matches_manual_count(rng):
+def test_partition_counts_match_manual_count(rng):
     data = synthetic_blobs(num_classes=3, samples_per_class=20, input_dim=2, rng=rng)
-    shard = np.array([0, 1, 2, 20, 21, 40])
-    dist = label_distribution(shard, data).probs
-    want = np.zeros(3)
-    for idx in shard:
-        want[data.labels[idx]] += 1
-    want /= len(shard)
-    assert np.allclose(dist, want, atol=0)
-    assert abs(dist.sum() - 1.0) < 1e-12
+    shards, counts = dirichlet_partition(data, 4, 0.5, seed=3)
+    want = np.zeros((4, 3), dtype=np.int64)
+    for client, shard in enumerate(shards):
+        for idx in shard:
+            want[client, data.labels[idx]] += 1
+    assert counts.shape == (4, 3)
+    assert np.array_equal(counts, want)
+    assert counts.sum() == len(data)
 
 
 def test_idx_array_roundtrip(tmp_path):

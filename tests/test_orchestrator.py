@@ -326,6 +326,25 @@ def test_record_scores_each_distinct_model_once(tmp_path, monkeypatch):
     assert sum(scored[end + 1:]) <= woken_last + 1 < cfg.num_peers
 
 
+def test_training_stacks_are_no_wider_than_the_largest_shard(tmp_path, monkeypatch):
+    # no batch holds more rows than its shard, so a batch_size above every
+    # shard must not widen the padded stacks
+    cfg = tiny_config(tmp_path, train=trainer.TrainConfig(batch_size=1000))
+    phase1 = run_phase1(cfg)
+    largest = max(len(shard) for shard in phase1.shards)
+    assert largest < cfg.train.batch_size
+    widths = []
+    real_gradient = trainer.gradient
+
+    def gradient(params, x, y, rows=None):
+        widths.append(x.shape[-2])
+        return real_gradient(params, x, y, rows)
+
+    monkeypatch.setattr(trainer, "gradient", gradient)
+    run_phase2(cfg, phase1)
+    assert widths and max(widths) <= largest
+
+
 @pytest.mark.filterwarnings(
     # the diverged models' logits overflow; numpy's default is to warn
     "ignore:overflow encountered:RuntimeWarning",
@@ -647,6 +666,15 @@ def test_cli_rejects_bad_input(tmp_path, capsys):
     ]) == 2
     assert "more clients than samples" in capsys.readouterr().err
     assert not crowded.exists()
+
+    # so is clustering noise so large that squared distances overflow; it is
+    # found in phase 1, after the key is generated
+    for flags in (["--dp-sigma-max", "1e160"], ["--dp-clip", "1e200"]):
+        assert main([
+            "run", "--peers", "4", "--clusters", "2", "--ticks", "5", "--paillier-bits", "256",
+            "--cluster-dp", "--out-dir", str(tmp_path / "overflow"), *flags,
+        ]) == 2, flags
+        assert "squared distances between points overflow" in capsys.readouterr().err
 
     # so are IDX files whose header is cut inside its dims, or that are missing
     (tmp_path / "idx").mkdir()

@@ -66,14 +66,20 @@ def kmeanspp_seed(
 
 
 def assign_to_nearest(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """Index of the nearest centroid per point; ties go to the lowest index."""
+    """Index of the nearest centroid per point; ties go to the lowest index.
+
+    Squared distances that overflow to inf tie with each other, so a point
+    whose every distance overflows goes to centroid 0; with one centroid,
+    the only case :func:`kmeanspp_seed` lets through, that is exact.
+    """
     points = np.asarray(points, dtype=np.float64)
     centroids = np.asarray(centroids, dtype=np.float64)
     if points.ndim != 2 or centroids.ndim != 2:
         raise ConfigurationError("points and centroids must be matrices")
     if points.shape[1] != centroids.shape[1]:
         raise ConfigurationError("points and centroids have different widths")
-    sq = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+    with np.errstate(over="ignore"):
+        sq = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
     return np.argmin(sq, axis=1)
 
 

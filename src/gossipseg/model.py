@@ -252,11 +252,12 @@ def canonical_bytes(params: ModelParams) -> bytes:
     return params._layout.header + params.buf.astype("<f8", copy=False).tobytes()
 
 
-def params_from_bytes(blob: bytes) -> ModelParams:
+def params_from_bytes(blob: bytes | memoryview) -> ModelParams:
     """Decode :func:`canonical_bytes` output; exact round trip.
 
-    Every malformed encoding, including a geometry no model can have, raises
-    :class:`SerializationError`.
+    The returned ``buf`` is a read-only view of ``blob``'s payload, copied
+    only on a big-endian host.  Every malformed encoding, including a
+    geometry no model can have, raises :class:`SerializationError`.
     """
     if len(blob) < 8 or blob[:4] != _MAGIC:
         raise SerializationError("bad magic")
@@ -280,5 +281,6 @@ def params_from_bytes(blob: bytes) -> ModelParams:
     layout = _layout(tuple(shapes))
     if len(blob) - offset != 8 * layout.size:
         raise SerializationError("payload length does not match the header")
-    buf = np.frombuffer(blob, dtype="<f8", offset=offset).astype(np.float64)
+    buf = np.frombuffer(blob, dtype="<f8", offset=offset).astype(np.float64, copy=False)
+    buf.flags.writeable = False
     return ModelParams._over(buf, layout)

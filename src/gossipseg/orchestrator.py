@@ -123,8 +123,9 @@ def run_phase1(cfg: RunConfig) -> Phase1Result:
     """Register, cluster, and segment; exactly one assignment pass.
 
     The output paths, the data and its partition into shards are checked
-    first, so a rejected config costs no key generation and leaves nothing
-    on disk.
+    first, so a rejected config costs no key generation.  The block store
+    is created last, so a config rejected anywhere in this phase leaves
+    nothing on disk.
     """
     paths = cfg.artifact_paths()
     # no two artifacts may share a file, and the CAS directory holds no artifact
@@ -149,7 +150,6 @@ def run_phase1(cfg: RunConfig) -> Phase1Result:
     shards, label_counts = dirichlet_partition(
         train_data, cfg.num_peers, cfg.beta, derive_seed(cfg.seed, "partition")
     )
-    store = BlockStore(paths["cas"])
     ledger = Ledger()
     keypair = paillier.keygen(cfg.paillier_bits, seed=derive_seed(cfg.seed, "paillier"))
     ledger.deploy_contracts(
@@ -178,7 +178,7 @@ def run_phase1(cfg: RunConfig) -> Phase1Result:
     ledger.seal_block(tick=0)
     return Phase1Result(
         ledger=ledger,
-        store=store,
+        store=BlockStore(paths["cas"]),
         assignment=assignment,
         segments=segments,
         train_data=train_data,

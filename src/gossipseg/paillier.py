@@ -1,11 +1,24 @@
 """Additively homomorphic Paillier cryptosystem with packed fixed-point vectors.
 
-Standard construction with ``g = n + 1``: encryption of ``m`` with blinding
-``r`` is ``(1 + m*n) * r^n mod n^2``.  The textbook decryption is ``L(c^lambda
-mod n^2) * mu mod n`` where ``L(x) = (x - 1) // n``; the key holder computes
-the same plaintext by the Chinese remainder theorem over ``p`` and ``q``
-(Paillier, EUROCRYPT 1999, section 7), which works modulo ``p^2`` and ``q^2``
-with half-size exponents.
+Standard construction with ``g = n + 1``, blinded as in the short-exponent
+variant of Damgard, Jurik and Nielsen ("A generalization of Paillier's
+public-key system with applications to electronic voting", IJIS 2010): the
+encryption of ``m`` is ``(1 + m*n) * h_n^a mod n^2``, where ``a`` is a
+fresh random exponent of ``ceil(k/2)`` bits for a ``k``-bit ``n``, in place
+of the textbook ``r^n`` for a random unit ``r``.  The fixed base
+``h_n = h^n mod n^2``, ``h = -x^2 mod n``, is derived from ``n`` alone (``x``
+is a domain-separated SHA-256 expansion of ``n`` reduced mod ``n``), so
+anyone holding ``n`` re-derives it and the key carries nothing new.  At
+that exponent length the scheme is semantically secure under the same
+decisional composite residuosity (DCR) assumption as Paillier's, by Hastad,
+Schrift and Shamir's result on short exponents modulo a composite (JCSS
+1993); a shorter exponent is outside that proof.  Ciphertexts are units of
+the same group, so decryption and homomorphic addition are unchanged.
+
+The textbook decryption is ``L(c^lambda mod n^2) * mu mod n`` where
+``L(x) = (x - 1) // n``; the key holder computes the same plaintext by the
+Chinese remainder theorem over ``p`` and ``q`` (Paillier, EUROCRYPT 1999,
+section 7), which works modulo ``p^2`` and ``q^2`` with half-size exponents.
 
 Vectors are non-negative fixed-point encodings of values in ``[0, 1]``,
 packed several components to a plaintext as in BatchCrypt (Zhang et al.,
@@ -21,6 +34,8 @@ symbols cannot be reached.  Both give the same integers.
 from __future__ import annotations
 
 import ctypes
+import functools
+import hashlib
 import math
 import random
 import secrets
@@ -38,6 +53,8 @@ from .errors import (
 
 _MIN_KEY_BITS = 256
 _MR_ROUNDS = 40
+# separates the expansion of n into the blinding base from any other hash of n
+_H_DOMAIN = b"gossipseg.paillier.h_n"
 # every fixed-point encoding is round(x * SCALE); decoding divides by it
 SCALE = 10**6
 
@@ -101,6 +118,23 @@ class PaillierPublicKey:
     @property
     def n_squared(self) -> int:
         return self.n * self.n
+
+    @functools.cached_property
+    def h_n(self) -> int:
+        """The blinding base ``h^n mod n^2``, ``h = -x^2 mod n``, derived from ``n``.
+
+        ``x`` is SHA-256 over the domain tag, a block counter and ``n``,
+        expanded 128 bits past ``n`` and reduced mod ``n``.
+        """
+        n = self.n
+        raw = n.to_bytes((n.bit_length() + 7) // 8, "big")
+        blocks = -(-(n.bit_length() + 128) // 256)
+        stream = b"".join(
+            hashlib.sha256(_H_DOMAIN + i.to_bytes(4, "big") + raw).digest()
+            for i in range(blocks)
+        )
+        x = int.from_bytes(stream, "big") % n
+        return _powmod(-x * x % n, n, self.n_squared)
 
 
 @dataclass(frozen=True)
@@ -220,25 +254,23 @@ def encrypt(
     pk: PaillierPublicKey,
     rng: random.Random | None = None,
 ) -> Ciphertext:
-    """Encrypt integer ``m`` with fresh blinding randomness.
+    """Encrypt integer ``m`` as ``(1 + m*n) * h_n^a mod n^2``.
 
     Args:
         m: Plaintext in ``[0, n)``.
         pk: Public key.
-        rng: Source of blinding randomness; OS entropy when omitted.
+        rng: Source of the blinding exponent ``a``, one ``getrandbits`` of
+            ``ceil(k/2)`` bits for a ``k``-bit ``n``; OS entropy when omitted.
 
     Returns:
         A :class:`Ciphertext` under ``pk``.
     """
     if not 0 <= m < pk.n:
         raise InvalidInputError("plaintext outside [0, n)")
-    draw = rng.randrange if rng is not None else secrets.SystemRandom().randrange
-    while True:
-        r = draw(1, pk.n)
-        if math.gcd(r, pk.n) == 1:
-            break
+    draw = rng.getrandbits if rng is not None else secrets.randbits
+    a = draw((pk.n.bit_length() + 1) // 2)
     n_sq = pk.n_squared
-    value = (1 + m * pk.n) % n_sq * _powmod(r, pk.n, n_sq) % n_sq
+    value = (1 + m * pk.n) * _powmod(pk.h_n, a, n_sq) % n_sq
     return Ciphertext(value=value, modulus=pk.n)
 
 

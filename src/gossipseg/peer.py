@@ -97,7 +97,7 @@ def decode_update(
     version, round_index, sender = struct.unpack_from("<HII", buf, 4)
     if version != _UPDATE_VERSION:
         raise SerializationError(f"unsupported update version {version}")
-    delta = params_from_bytes(buf[24:])
+    delta = params_from_bytes(memoryview(buf)[24:])
     if delta.shapes != template.shapes:
         raise SerializationError("update geometry differs from the model's")
     return round_index, sender, gather(delta.buf, segment_coords(template, segment).owned)

@@ -1,6 +1,7 @@
 """Seeding, nearest-centroid assignment, and the single clustering pass."""
 
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -160,6 +161,20 @@ def test_one_shot_noised_assignment_still_partitions(small_keypair):
     # centroids still built from the true distributions: rows stay stochastic
     for centroid in result.centroids:
         assert abs(centroid.sum() - 1.0) < 1e-3
+
+
+def test_one_cluster_with_overflowing_noise_is_quiet(small_keypair):
+    # noise of scale 1e160 overflows every squared distance to the one seed;
+    # one cluster needs no comparison, so the pass must warn about nothing
+    dists = uniformish_distributions(np.random.default_rng(3), 6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = one_shot_cluster(
+            dists, 1, np.random.default_rng(8), small_keypair, random.Random(15),
+            assignment_sigma=1e160, assignment_clip=1.0,
+        )
+    assert result.assignment == dict.fromkeys(range(6), 0)
+    assert np.max(np.abs(result.centroids[0] - dists.mean(axis=0))) <= 1.0 / paillier.SCALE
 
 
 def test_one_shot_needs_enough_peers(small_keypair):

@@ -246,9 +246,13 @@ def test_codec_matches_per_tensor_reference(tensors):
         views = decoded.tensors()
         assert all(np.shares_memory(v, decoded.buf) or v.size == 0 for v in views)
         assert decoded.buf.tobytes() == b"".join(v.tobytes() for v in views)
+    # the decoded buffer is a read-only view of the bytes; through a copy's
+    # tensor views, a write reaches the copy's buffer
+    assert not back.buf.flags.writeable
     if back.buf.size:
-        back.tensors()[-1][0] = 1.5
-        assert back.buf[back.buf.size - back.shapes[-1][0]] == 1.5
+        owned = back.copy()
+        owned.tensors()[-1][0] = 1.5
+        assert owned.buf[owned.buf.size - owned.shapes[-1][0]] == 1.5
 
 
 def test_params_from_bytes_rejects_malformed_geometry():

@@ -668,13 +668,16 @@ def test_cli_rejects_bad_input(tmp_path, capsys):
     assert not crowded.exists()
 
     # so is clustering noise so large that squared distances overflow; it is
-    # found in phase 1, after the key is generated
+    # found in phase 1, after the key is generated, and still leaves no file
+    overflow = tmp_path / "overflow"
     for flags in (["--dp-sigma-max", "1e160"], ["--dp-clip", "1e200"]):
         assert main([
             "run", "--peers", "4", "--clusters", "2", "--ticks", "5", "--paillier-bits", "256",
-            "--cluster-dp", "--out-dir", str(tmp_path / "overflow"), *flags,
+            "--cluster-dp", "--out-dir", str(overflow), *flags,
         ]) == 2, flags
         assert "squared distances between points overflow" in capsys.readouterr().err
+        assert not (overflow / "cas").exists()
+        assert not overflow.exists()
 
     # so are IDX files whose header is cut inside its dims, or that are missing
     (tmp_path / "idx").mkdir()

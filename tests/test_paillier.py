@@ -1,9 +1,12 @@
-"""Additive homomorphism, fixed-point coding, CRT decryption, the packed mean,
-and the modular exponentiation every operation rests on.
+"""Additive homomorphism, short-exponent blinding, fixed-point coding, CRT
+decryption, the packed mean, and the modular exponentiation every operation
+rests on.
 
-All tests share one 512-bit key pair; key generation is the slow part.
+Most tests share one 512-bit key pair; key generation is the slow part.
 """
 
+import functools
+import hashlib
 import math
 import random
 from dataclasses import replace
@@ -23,6 +26,7 @@ from gossipseg.errors import (
 from gossipseg.paillier import (
     SCALE,
     Ciphertext,
+    PaillierPublicKey,
     add,
     decrypt,
     encode_fixed,
@@ -65,6 +69,78 @@ def test_ciphertexts_are_randomized(small_keypair):
     rng = random.Random(6)
     c1 = encrypt(42, kp.public, rng)
     c2 = encrypt(42, kp.public, rng)
+    assert c1.value != c2.value
+    assert decrypt(c1, kp) == decrypt(c2, kp) == 42
+
+
+@functools.lru_cache(maxsize=None)
+def key_of_bits(bits):
+    return keygen(bits=bits, seed=bits)
+
+
+@given(data=st.data(), bits=st.sampled_from([256, 257, 300, 512, 1024]))
+def test_short_exponent_roundtrip_and_homomorphism(data, bits):
+    kp = key_of_bits(bits)
+    n = kp.public.n
+    a, b = (data.draw(st.one_of(st.just(0), st.just(n - 1), st.integers(0, n - 1))) for _ in "ab")
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    ca, cb = encrypt(a, kp.public, rng), encrypt(b, kp.public, rng)
+    assert decrypt(ca, kp) == a and decrypt(cb, kp) == b
+    assert decrypt(add(ca, cb, kp.public), kp) == (a + b) % n
+
+
+def expected_h_n(n):
+    """``h^n mod n^2`` for ``h = -x^2 mod n``, with ``x`` the SHA-256 expansion
+    of the domain tag, a 4-byte block counter and ``n``, 128 bits past ``n``."""
+    raw = n.to_bytes((n.bit_length() + 7) // 8, "big")
+    stream = b""
+    counter = 0
+    while 8 * len(stream) < n.bit_length() + 128:
+        block = b"gossipseg.paillier.h_n" + counter.to_bytes(4, "big") + raw
+        stream += hashlib.sha256(block).digest()
+        counter += 1
+    x = int.from_bytes(stream, "big") % n
+    return pow(-x * x % n, n, n * n)
+
+
+@pytest.mark.parametrize("bits", [256, 257, 300, 512, 1024])
+def test_blinding_base_is_derived_from_n_alone(bits):
+    pk = key_of_bits(bits).public
+    n = pk.n
+    # a key rebuilt from n, as anyone reading the ledger can, has the same base
+    assert PaillierPublicKey(n=n, g=n + 1).h_n == pk.h_n == expected_h_n(n)
+    assert 1 < pk.h_n < n * n and math.gcd(pk.h_n, n) == 1
+    assert pk.h_n != key_of_bits(256 if bits != 256 else 257).public.h_n
+
+
+class RecordingRng:
+    """Answers ``getrandbits`` from a seeded generator and records each width;
+    any other draw is an AttributeError."""
+
+    def __init__(self, seed):
+        self.widths = []
+        self._rng = random.Random(seed)
+
+    def getrandbits(self, k):
+        self.widths.append(k)
+        return self._rng.getrandbits(k)
+
+
+@pytest.mark.parametrize("bits", [256, 257, 300, 512, 1024])
+def test_encrypt_draws_one_half_length_exponent(bits):
+    pk = key_of_bits(bits).public
+    n, n_sq = pk.n, pk.n * pk.n
+    recorder, replay = RecordingRng(bits), random.Random(bits)
+    c = encrypt(12345, pk, recorder)
+    assert recorder.widths == [-(-bits // 2)]
+    # the ciphertext is (1 + m*n) * h_n^a for exactly the exponent drawn
+    a = replay.getrandbits(-(-bits // 2))
+    assert c.value == (1 + 12345 * n) * pow(expected_h_n(n), a, n_sq) % n_sq
+
+
+def test_ciphertexts_from_os_entropy_are_randomized(small_keypair):
+    kp = small_keypair
+    c1, c2 = encrypt(42, kp.public), encrypt(42, kp.public)
     assert c1.value != c2.value
     assert decrypt(c1, kp) == decrypt(c2, kp) == 42
 

@@ -174,6 +174,25 @@ def test_update_wire_rejects_garbage(rng):
         decode_update(wrong_version, template, spec)
 
 
+def test_update_decode_gathers_from_a_read_only_view(rng):
+    template = init_params(8, 16, 4, rng)
+    spec = segment_boundaries(4, 2)[1]
+    coords = segment_coords(template, spec)
+    owned = rng.normal(size=sum(r.stop - r.start for r in coords.owned))
+    owned[:3] = (-0.0, 5e-324, -1e-310)
+    buf = encode_update(owned, template, spec, 2, 1, 0.5)
+    # the copying decode: the whole payload, the buffer's last bytes, as a new array
+    payload = np.frombuffer(buf[-8 * template.buf.size :], "<f8").astype(np.float64)
+    round_index, sender, got = decode_update(buf, template, spec)
+    assert (round_index, sender) == (2, 1)
+    assert got.tobytes() == gather(payload, coords.owned).tobytes() == owned.tobytes()
+    assert got.flags.writeable
+    for blob in (buf[24:], bytearray(buf[24:]), memoryview(bytearray(buf))[24:]):
+        decoded = params_from_bytes(blob)
+        assert decoded.buf.tobytes() == payload.tobytes()
+        assert not decoded.buf.flags.writeable
+
+
 def test_incentive_check_frozen_cases():
     assert incentive_check(1.0, 0.4, 0.5) == REWARD
     assert incentive_check(1.0, 1.6, 0.5) == PENALTY
